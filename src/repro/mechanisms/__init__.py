@@ -8,14 +8,11 @@ higher-level publishers.
 """
 
 from repro.mechanisms.laplace import LaplaceMechanism, laplace_noise, laplace_scale
-from repro.mechanisms.geometric import GeometricMechanism, geometric_noise
-from repro.mechanisms.gaussian import GaussianMechanism, gaussian_sigma
 from repro.mechanisms.exponential import (
     exponential_mechanism,
     exponential_probabilities,
     gumbel_argmax,
 )
-from repro.mechanisms.randomized_response import RandomizedResponse
 from repro.mechanisms.sensitivity import (
     histogram_sensitivity,
     range_sum_sensitivity,
@@ -26,14 +23,9 @@ __all__ = [
     "LaplaceMechanism",
     "laplace_noise",
     "laplace_scale",
-    "GeometricMechanism",
-    "geometric_noise",
-    "GaussianMechanism",
-    "gaussian_sigma",
     "exponential_mechanism",
     "exponential_probabilities",
     "gumbel_argmax",
-    "RandomizedResponse",
     "histogram_sensitivity",
     "range_sum_sensitivity",
     "sse_sensitivity_bound",

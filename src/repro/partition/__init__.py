@@ -17,7 +17,6 @@ from repro.partition.voptimal import (
     voptimal_partition,
     voptimal_table,
 )
-from repro.partition.greedy import greedy_partition
 from repro.partition.equiwidth import equiwidth_partition
 
 __all__ = [
@@ -28,6 +27,5 @@ __all__ = [
     "ApproxVOptimalResult",
     "voptimal_partition",
     "voptimal_table",
-    "greedy_partition",
     "equiwidth_partition",
 ]

@@ -45,16 +45,6 @@ from repro.perf.costrows import as_cost_rows
 __all__ = ["sample_partition_em", "log_partition_table"]
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    """Numerically stable log(sum(exp(values))); -inf on empty/all -inf."""
-    if values.size == 0:
-        return -np.inf
-    top = values.max()
-    if not np.isfinite(top):
-        return -np.inf
-    return float(top + np.log(np.exp(values - top).sum()))
-
-
 def log_partition_table(cost, k: int, alpha: float) -> np.ndarray:
     """Forward pass: ``L[level][j] = log sum over partitions of first j bins
     into `level` buckets of exp(-alpha * cost)``.

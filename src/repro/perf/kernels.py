@@ -81,9 +81,6 @@ AUTO_APPROX_THRESHOLD = 8192
 #: flip it without touching call sites).
 KERNEL_ENV = "REPRO_PARTITION_KERNEL"
 
-#: Short-form alias consulted when :data:`KERNEL_ENV` is unset.
-KERNEL_ENV_ALIAS = "REPRO_KERNEL"
-
 #: Below this many prefixes a divide-and-conquer node switches to one
 #: vectorized block scan; tuned so numpy call overhead, not element
 #: work, stops dominating.  Exactness does not depend on the value.
@@ -111,14 +108,10 @@ def resolve_kernel(kernel: Optional[str] = None) -> str:
     """Resolve an explicit kernel name, the env override, or the default.
 
     Precedence: explicit argument > ``REPRO_PARTITION_KERNEL`` env var >
-    ``REPRO_KERNEL`` env var > process default (``auto``).
+    process default (``auto``).
     """
     if kernel is None:
-        kernel = (
-            os.environ.get(KERNEL_ENV)
-            or os.environ.get(KERNEL_ENV_ALIAS)
-            or _default_kernel
-        )
+        kernel = os.environ.get(KERNEL_ENV) or _default_kernel
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     return kernel

@@ -254,6 +254,12 @@ class CheckpointJournal:
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
+        # The entries the last read parsed and the file stamp it saw: a
+        # resume asks for them once per spec cell, so the file is parsed
+        # again only when its stamp changes.
+        self._parsed: List[Dict[str, Any]] = []
+        self._parsed_stamp: Optional[Tuple[int, int, int]] = None
+        self._parsed_to_newline = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CheckpointJournal({str(self.path)!r})"
@@ -271,19 +277,46 @@ class CheckpointJournal:
             },
             "payload": record_to_payload(record),
         }
-        append_line(self.path, json.dumps(entry))
+        line = json.dumps(entry)
+        extend = (self._parsed_stamp is not None and self._parsed_to_newline
+                  and self._parsed_stamp == self._stamp())
+        append_line(self.path, line)
+        if extend:
+            # The file is exactly the last read plus this line: keep the
+            # parsed entries current instead of re-reading them.
+            self._parsed.append(json.loads(line))
+            self._parsed_stamp = self._stamp()
+
+    def _stamp(self) -> Optional[Tuple[int, int, int]]:
+        """Inode, size and mtime of the file; ``None`` when it is absent."""
+        try:
+            stat = self.path.stat()
+        except FileNotFoundError:
+            return None
+        return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
     def entries(self) -> List[Dict[str, Any]]:
         """All parseable journal entries, in file order.
 
         Unparseable lines (a torn final append, editor noise) are
         skipped; entries with a wrong schema raise, since that signals a
-        version mismatch rather than a crash artifact.
+        version mismatch rather than a crash artifact.  The file is
+        parsed again only when its inode, size or mtime has changed
+        since the last read.
         """
-        if not self.path.exists():
+        stamp = self._stamp()
+        if stamp is None:
             return []
+        if stamp != self._parsed_stamp:
+            text = self.path.read_text(encoding="utf-8")
+            self._parsed = self._parse(text)
+            self._parsed_stamp = stamp
+            self._parsed_to_newline = not text or text.endswith("\n")
+        return list(self._parsed)
+
+    def _parse(self, text: str) -> List[Dict[str, Any]]:
         out: List[Dict[str, Any]] = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
+        for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue

@@ -68,7 +68,6 @@ from repro.verify.stats import (
     ks_test,
     laplace_cdf,
     merge_sparse_cells,
-    two_sided_geometric_pmf,
 )
 from repro.verify.streams import StreamAllocator
 
@@ -103,7 +102,6 @@ __all__ = [
     "chi_square_test",
     "chi_square_from_samples",
     "laplace_cdf",
-    "two_sided_geometric_pmf",
     "bonferroni_alpha",
     "merge_sparse_cells",
     # streams

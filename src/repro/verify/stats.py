@@ -3,8 +3,8 @@
 These are the statistical primitives behind ``tests/verify``'s
 mechanism-distribution checks: a one-sample Kolmogorov-Smirnov test for
 continuous mechanisms (Laplace), a chi-square test with sparse-cell
-merging for discrete mechanisms (two-sided geometric, exponential
-mechanism), and Bonferroni bookkeeping so a suite of ``m`` checks keeps
+merging for discrete mechanisms (the exponential mechanism), and
+Bonferroni bookkeeping so a suite of ``m`` checks keeps
 its *family-wise* false-positive rate at the declared level.
 
 Everything is deterministic given the input samples; randomness lives in
@@ -28,7 +28,6 @@ __all__ = [
     "chi_square_test",
     "chi_square_from_samples",
     "laplace_cdf",
-    "two_sided_geometric_pmf",
     "bonferroni_alpha",
     "merge_sparse_cells",
 ]
@@ -57,22 +56,6 @@ def laplace_cdf(x: "float | np.ndarray", scale: float, loc: float = 0.0):
     z = (arr - loc) / scale
     out = np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
     if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def two_sided_geometric_pmf(k: "int | np.ndarray", alpha: float):
-    """PMF of the two-sided geometric distribution with parameter ``alpha``.
-
-    ``Pr[K = k] = (1 - alpha) / (1 + alpha) * alpha ** |k|`` for integer
-    ``k``; this is the stationary law of the geometric mechanism with
-    ``alpha = exp(-epsilon / sensitivity)``.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    arr = np.asarray(k)
-    out = (1.0 - alpha) / (1.0 + alpha) * alpha ** np.abs(arr.astype(np.float64))
-    if np.isscalar(k) or arr.ndim == 0:
         return float(out)
     return out
 

@@ -1,11 +1,11 @@
 """Kernel selection: env precedence, default restore, pool determinism.
 
 ``resolve_kernel`` resolves in strict precedence order — explicit
-argument, then ``REPRO_PARTITION_KERNEL``, then the ``REPRO_KERNEL``
-alias, then the process default — and ``resolve_table_kernel``
-collapses ``auto`` to a concrete engine by domain size.  The approx
-engine itself is RNG-free, so the same histogram must produce
-bit-identical sparse tables in every process-pool worker.
+argument, then ``REPRO_PARTITION_KERNEL``, then the process default —
+and ``resolve_table_kernel`` collapses ``auto`` to a concrete engine by
+domain size.  The approx engine itself is RNG-free, so the same
+histogram must produce bit-identical sparse tables in every
+process-pool worker.
 """
 
 import os
@@ -17,7 +17,6 @@ import pytest
 from repro.perf.kernels import (
     AUTO_APPROX_THRESHOLD,
     KERNEL_ENV,
-    KERNEL_ENV_ALIAS,
     KERNELS,
     resolve_kernel,
     resolve_table_kernel,
@@ -28,34 +27,22 @@ from repro.perf.kernels import (
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv(KERNEL_ENV, raising=False)
-    monkeypatch.delenv(KERNEL_ENV_ALIAS, raising=False)
 
 
 class TestPrecedence:
     def test_explicit_beats_everything(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "exact_blocked")
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "reference")
         assert resolve_kernel("approx") == "approx"
-
-    def test_primary_env_beats_alias(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "exact_blocked")
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "reference")
-        assert resolve_kernel(None) == "exact_blocked"
-
-    def test_alias_beats_default(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "reference")
-        assert resolve_kernel(None) == "reference"
 
     def test_default_when_nothing_set(self):
         assert resolve_kernel(None) == "auto"
 
     def test_empty_env_values_fall_through(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "")
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "")
         assert resolve_kernel(None) == "auto"
 
     def test_invalid_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "warp-drive")
+        monkeypatch.setenv(KERNEL_ENV, "warp-drive")
         with pytest.raises(ValueError, match="kernel must be one of"):
             resolve_kernel(None)
 
@@ -104,7 +91,7 @@ class TestAutoCollapse:
             assert resolve_table_kernel(kernel, 1 << 20) == kernel
 
     def test_env_steers_table_resolution(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_ALIAS, "approx")
+        monkeypatch.setenv(KERNEL_ENV, "approx")
         assert resolve_table_kernel(None, 16) == "approx"
 
 

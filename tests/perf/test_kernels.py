@@ -134,7 +134,6 @@ class TestDispatch:
 
     def test_resolve_env_beats_default(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert resolve_kernel(None) == "auto"
         monkeypatch.setenv(KERNEL_ENV, "exact_blocked")
         assert resolve_kernel(None) == "exact_blocked"

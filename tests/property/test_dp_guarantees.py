@@ -1,8 +1,8 @@
 """Direct numerical verification of the epsilon-DP guarantees.
 
 For mechanisms whose output distribution we can compute *exactly* —
-randomized response, the two-sided geometric mechanism, the exponential
-mechanism, and StructureFirst's Gibbs sampler over partitions — we check
+the exponential mechanism, StructureFirst's Gibbs sampler over
+partitions, and the Laplace mechanism — we check
 the definition itself: for neighbouring inputs, every outcome's
 probability ratio is bounded by ``exp(eps)``.  These are the strongest
 tests in the suite: they verify the privacy claim, not just the
@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mechanisms.exponential import exponential_probabilities
-from repro.mechanisms.randomized_response import RandomizedResponse
 from repro.partition.gibbs import log_partition_table
 from repro.partition.partition import Partition
 from repro.partition.sae import sae_matrix
@@ -89,38 +88,6 @@ class TestExponentialMechanismDp:
         q = exponential_probabilities(perturbed, eps, 1.0)
         ratios = np.log(p) - np.log(q)
         assert np.max(np.abs(ratios)) <= eps + 1e-6
-
-
-class TestRandomizedResponseDp:
-    @pytest.mark.parametrize("k", [2, 4, 10])
-    @pytest.mark.parametrize("eps", [0.1, 1.0, 3.0])
-    def test_per_record_ratio_exact(self, k, eps):
-        """RR's per-record output distribution: truthful probability over
-        lying probability equals exp(eps) exactly — the definition of
-        its local DP guarantee."""
-        rr = RandomizedResponse(k=k)
-        p_true = rr.truth_probability(eps)
-        p_lie = (1.0 - p_true) / (k - 1)
-        assert p_true / p_lie == pytest.approx(np.exp(eps), rel=1e-9)
-
-
-class TestGeometricMechanismDp:
-    @pytest.mark.parametrize("eps", [0.25, 1.0])
-    def test_pmf_ratio_between_adjacent_outputs(self, eps):
-        """Two-sided geometric: shifting the true count by 1 shifts the
-        pmf by one step, and adjacent pmf values differ by exactly
-        exp(-eps) — so the mechanism is exactly eps-DP."""
-        alpha = np.exp(-eps)
-
-        def pmf(noise):
-            return (1 - alpha) / (1 + alpha) * alpha ** abs(noise)
-
-        # Output o on input c has probability pmf(o - c); neighbouring
-        # input c+1 gives pmf(o - c - 1).  Max ratio over o:
-        worst = max(
-            pmf(z) / pmf(z - 1) for z in range(-30, 31)
-        )
-        assert worst <= np.exp(eps) + 1e-12
 
 
 class TestLaplaceMechanismDp:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.partition.equiwidth import equiwidth_partition
-from repro.partition.greedy import greedy_partition
 from repro.partition.partition import Partition
 from repro.partition.sae import sae_matrix
 from repro.partition.sse import SegmentStats, partition_sse
@@ -84,14 +83,6 @@ class TestSseInvariants:
         sses = table.sse_by_k[1 : k + 1]
         scale = 1e-6 * (1.0 + float(np.max(np.abs(sses))))
         assert all(sses[i + 1] <= sses[i] + scale for i in range(len(sses) - 1))
-
-    @given(counts_and_k())
-    def test_greedy_at_least_optimal(self, data):
-        counts, k = data
-        _gp, gsse = greedy_partition(counts, k)
-        table = voptimal_table(counts, k)
-        tol = 1e-6 * (1.0 + abs(gsse))
-        assert gsse >= table.sse_by_k[k] - tol
 
 
 class TestSaeInvariants:

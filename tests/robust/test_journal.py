@@ -198,6 +198,29 @@ class TestJournalFile:
         journal.append(record, fp)
         assert records_equal(journal.seeds_done(fp)[0], record)
 
+    def test_entries_follow_every_change_to_the_file(self, tmp_path,
+                                                     make_spec):
+        spec = make_spec(seeds=(0, 1, 2))
+        records = run_matrix(spec)
+        fp = spec_fingerprint(spec)
+        journal = CheckpointJournal(tmp_path / "j.jsonl")
+        journal.append(records[0], fp)
+        assert list(journal.seeds_done(fp)) == [0]
+        journal.append(records[1], fp)  # kept current by this object
+        assert list(journal.seeds_done(fp)) == [0, 1]
+        CheckpointJournal(journal.path).append(records[2], fp)  # elsewhere
+        assert list(journal.seeds_done(fp)) == [0, 1, 2]
+        text = journal.path.read_text()
+        journal.path.write_text(text[: len(text) - 40])  # torn tail
+        assert list(journal.seeds_done(fp)) == [0, 1]
+        journal.append(records[2], fp)
+        fresh = CheckpointJournal(journal.path)
+        assert journal.entries() == fresh.entries()
+        journal.path.write_text("")
+        assert journal.entries() == []
+        journal.path.unlink()
+        assert journal.entries() == []
+
     def test_missing_file_is_empty(self, tmp_path):
         assert CheckpointJournal(tmp_path / "nope.jsonl").entries() == []
 

@@ -98,3 +98,56 @@ class TestRunSweepAndTable:
         assert len(failures) == 2
         (row,) = table.rows
         assert row[1] == 0 and row[3] == "n/a" and row[4] == "n/a"
+
+
+class TestResumeReadsTheJournalOnce:
+    @pytest.mark.parametrize("cells_done", [4, 2])
+    def test_each_journal_line_is_parsed_once(self, tmp_path, monkeypatch,
+                                              cells_done):
+        """A finished journal (4 of 4 cells) resumes without dispatching;
+        a half-finished one runs only its missing cells.  Either way each
+        journal line is parsed once per resume."""
+        import collections
+        import json
+
+        from repro.experiments.runner import records_equal
+        from repro.obs.monitor import ExecutorObserver
+
+        class Dispatches(ExecutorObserver):
+            seeds = 0
+
+            def on_dispatch(self, spec_name, seeds):
+                self.seeds += len(seeds)
+
+        specs = build_sweep_specs(**dict(
+            QUICK, publishers=["dwork", "boost"], epsilons=(0.1, 0.5),
+        ))
+        journal = tmp_path / "j.jsonl"
+        original = run_sweep(specs, n_jobs=1)
+        first_run = Dispatches()
+        run_sweep(specs[:cells_done], n_jobs=1, journal=str(journal),
+                  observer=first_run)
+        assert first_run.seeds == 2 * cells_done
+
+        parsed = collections.Counter()
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed[text] += 1
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        resume = Dispatches()
+        resumed = run_sweep(specs, n_jobs=1, journal=str(journal),
+                            resume=True, observer=resume)
+        monkeypatch.undo()
+
+        lines = journal.read_text().splitlines()
+        assert len(lines) == 2 * len(specs) == 8
+        assert parsed == collections.Counter(lines)  # each line once
+        assert resume.seeds == 2 * (len(specs) - cells_done)
+        assert list(resumed) == list(original)
+        for name, records in original.items():
+            assert len(resumed[name]) == len(records)
+            for before, after in zip(records, resumed[name]):
+                assert records_equal(before, after)

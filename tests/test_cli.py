@@ -66,3 +66,39 @@ class TestRunSweepCli:
         capsys.readouterr()
         assert main(self.SWEEP + ["--journal", journal, "--resume"]) == 0
         assert "sweep/age/dwork/eps=0.5" in capsys.readouterr().out
+
+
+class TestEachCommandTakesOnlyItsFlags:
+    def test_experiment_refuses_a_sweep_flag(self, capsys, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        assert main(["table1", "--journal", str(journal)]) == 2
+        assert "--journal" in capsys.readouterr().err
+        assert not journal.exists()
+
+    def test_verify_refuses_a_sweep_flag(self, capsys, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        assert main(["verify", "--publisher", "uniform", "--trials", "10",
+                     "--bins", "16", "--journal", str(journal)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not journal.exists()
+
+    def test_report_refuses_n_jobs(self, capsys, tmp_path):
+        journal = str(tmp_path / "j.jsonl")
+        assert main(TestRunSweepCli.SWEEP + ["--journal", journal]) == 0
+        capsys.readouterr()
+        assert main(["report", journal, "--n-jobs", "2"]) == 2
+        assert "--n-jobs" in capsys.readouterr().err
+
+    def test_usage_errors_return_two_instead_of_exiting(self, capsys):
+        assert main(["serve", "--bogus"]) == 2
+        assert "--bogus" in capsys.readouterr().err
+        assert main(["history", "ingest"]) == 2
+        assert "required" in capsys.readouterr().err
+
+    def test_help_lists_only_the_commands_flags(self, capsys):
+        assert main(["run", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--journal" in out and "--trials" not in out
+        assert main(["table1", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--quick" in out and "--journal" not in out

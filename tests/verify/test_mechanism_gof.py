@@ -16,15 +16,12 @@ from repro.mechanisms.exponential import (
     exponential_probabilities,
     gumbel_argmax,
 )
-from repro.mechanisms.geometric import geometric_noise
 from repro.mechanisms.laplace import laplace_noise, laplace_scale
 from repro.verify.stats import (
     bonferroni_alpha,
-    chi_square_from_samples,
     chi_square_test,
     ks_test,
     laplace_cdf,
-    two_sided_geometric_pmf,
 )
 from repro.verify.streams import StreamAllocator
 
@@ -34,7 +31,7 @@ STREAMS = StreamAllocator(20240131, namespace="tests.verify.mechanisms")
 
 #: Family-wise false-alarm budget for this module, split over the tests.
 FAMILY_ALPHA = 1e-3
-N_GOF_TESTS = 8
+N_GOF_TESTS = 6
 ALPHA = bonferroni_alpha(FAMILY_ALPHA, N_GOF_TESTS)
 
 N_SAMPLES = 4000
@@ -64,32 +61,6 @@ class TestLaplaceMechanism:
         samples = laplace_noise(1.0, size=N_SAMPLES, rng=gen)
         result = ks_test(samples, lambda x: laplace_cdf(x, scale=1.25))
         assert not result.passes(ALPHA)
-
-
-class TestGeometricMechanism:
-    @pytest.mark.parametrize("epsilon", [0.4, 1.0])
-    def test_noise_matches_two_sided_geometric(self, epsilon):
-        gen = STREAMS.generator(f"geometric/eps={epsilon}")
-        samples = geometric_noise(epsilon, size=N_SAMPLES, rng=gen)
-        alpha_param = float(np.exp(-epsilon))
-        result = chi_square_from_samples(
-            samples,
-            lambda k: two_sided_geometric_pmf(k, alpha_param),
-            support=range(-25, 26),
-        )
-        assert result.passes(ALPHA), STREAMS.describe(
-            f"geometric/eps={epsilon}"
-        )
-
-    def test_variance_near_closed_form(self):
-        gen = STREAMS.generator("geometric/var")
-        eps = 0.7
-        samples = geometric_noise(eps, size=20_000, rng=gen).astype(float)
-        alpha_param = np.exp(-eps)
-        predicted = 2.0 * alpha_param / (1.0 - alpha_param) ** 2
-        assert samples.mean() == pytest.approx(0.0, abs=5 * np.sqrt(
-            predicted / len(samples)))
-        assert samples.var() == pytest.approx(predicted, rel=0.1)
 
 
 class TestExponentialMechanism:

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.mechanisms.exponential import (
+    exponential_probabilities,
+    gumbel_argmax,
+)
 from repro.verify.stats import (
     GofResult,
     bonferroni_alpha,
@@ -11,11 +15,24 @@ from repro.verify.stats import (
     ks_test,
     laplace_cdf,
     merge_sparse_cells,
-    two_sided_geometric_pmf,
 )
 from repro.verify.streams import StreamAllocator
 
 STREAMS = StreamAllocator(2024, namespace="tests.verify.stats")
+
+EM_SCORES = np.array([0.0, 1.0, 3.0, 3.5, -2.0])
+
+
+def _em_pmf(epsilon):
+    """The exponential mechanism's law on EM_SCORES as an integer PMF."""
+    probs = exponential_probabilities(EM_SCORES, epsilon, 1.0)
+
+    def pmf(ks):
+        ks = np.asarray(ks)
+        inside = (ks >= 0) & (ks < len(probs))
+        return np.where(inside, probs[np.clip(ks, 0, len(probs) - 1)], 0.0)
+
+    return pmf
 
 
 class TestDistributionHelpers:
@@ -30,19 +47,6 @@ class TestDistributionHelpers:
         assert laplace_cdf(2.0, scale=1.0) == pytest.approx(
             1.0 - np.exp(-2.0) / 2.0
         )
-
-    def test_geometric_pmf_sums_to_one(self):
-        alpha = np.exp(-0.4)
-        ks = np.arange(-400, 401)
-        assert two_sided_geometric_pmf(ks, alpha).sum() == pytest.approx(
-            1.0, abs=1e-9
-        )
-
-    def test_geometric_pmf_symmetric_and_peaked(self):
-        alpha = np.exp(-1.0)
-        pmf = two_sided_geometric_pmf(np.arange(-5, 6), alpha)
-        np.testing.assert_allclose(pmf, pmf[::-1])
-        assert pmf[5] == pmf.max()  # mode at 0
 
 
 class TestKsTest:
@@ -95,30 +99,21 @@ class TestChiSquare:
         result = chi_square_test(obs, obs / obs.sum())  # shape only
         assert result.statistic == pytest.approx(0.0)
 
-    def test_geometric_samples_pass(self):
-        from repro.mechanisms.geometric import geometric_noise
-
-        gen = STREAMS.generator("chi2-geom")
-        eps = 0.7
-        samples = geometric_noise(eps, size=5000, rng=gen)
-        alpha = float(np.exp(-eps))
+    def test_true_law_passes(self):
+        gen = STREAMS.generator("chi2-em")
+        samples = [gumbel_argmax(EM_SCORES, 1.5, 1.0, rng=gen)
+                   for _ in range(3000)]
         result = chi_square_from_samples(
-            samples,
-            lambda k: two_sided_geometric_pmf(k, alpha),
-            support=range(-12, 13),
+            samples, _em_pmf(1.5), support=range(len(EM_SCORES)),
         )
         assert result.passes(alpha=1e-3)
 
-    def test_wrong_alpha_rejected(self):
-        from repro.mechanisms.geometric import geometric_noise
-
-        gen = STREAMS.generator("chi2-geom-bad")
-        samples = geometric_noise(0.7, size=5000, rng=gen)
-        wrong_alpha = float(np.exp(-1.4))
+    def test_wrong_law_rejected(self):
+        gen = STREAMS.generator("chi2-em-bad")
+        samples = [gumbel_argmax(EM_SCORES, 1.5, 1.0, rng=gen)
+                   for _ in range(3000)]
         result = chi_square_from_samples(
-            samples,
-            lambda k: two_sided_geometric_pmf(k, wrong_alpha),
-            support=range(-12, 13),
+            samples, _em_pmf(0.5), support=range(len(EM_SCORES)),
         )
         assert not result.passes(alpha=1e-3)
 
