@@ -906,22 +906,11 @@ class HistoryStore:
         from repro.robust.journal import CheckpointJournal, \
             record_from_payload
 
-        journal = CheckpointJournal(path)
-        latest: Dict[Tuple[str, str, str, int, float], Any] = {}
-        for entry in journal.entries():
-            key = entry["key"]
-            cell = (
-                entry.get("fingerprint", ""),
-                key["spec_name"],
-                key["publisher"],
-                int(key["seed"]),
-                float(key["epsilon"]),
-            )
-            latest[cell] = (
-                entry.get("fingerprint", ""),
-                record_from_payload(entry["payload"]),
-            )
-        return list(latest.values())
+        return [
+            (entry.get("fingerprint", ""),
+             record_from_payload(entry["payload"]))
+            for entry in CheckpointJournal(path).latest()
+        ]
 
     def ingest_journal(
         self,

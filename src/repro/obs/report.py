@@ -324,25 +324,12 @@ def render_report(
         journal = CheckpointJournal(journal)
 
     entries = journal.entries()
-    latest: Dict[Tuple[str, str, str, int, float], Any] = {}
-    fingerprints = set()
-    for entry in entries:
-        key = entry["key"]
-        fingerprints.add(entry.get("fingerprint", ""))
-        cell = (
-            entry.get("fingerprint", ""),
-            key["spec_name"],
-            key["publisher"],
-            int(key["seed"]),
-            float(key["epsilon"]),
-        )
-        latest[cell] = record_from_payload(entry["payload"])
-
-    records = [r for r in latest.values() if not is_failed(r)]
-    failures = [r for r in latest.values() if is_failed(r)]
+    latest = [record_from_payload(e["payload"]) for e in journal.latest()]
+    records = [r for r in latest if not is_failed(r)]
+    failures = [r for r in latest if is_failed(r)]
     records.sort(key=lambda r: (r.spec_name, r.publisher, r.seed))
     failures.sort(key=lambda r: (r.spec_name, r.publisher, r.seed))
-    n_specs = len({(r.spec_name) for r in latest.values()})
+    n_specs = len({(r.spec_name) for r in latest})
 
     sections: List[str] = [f"# Run report — `{journal.path.name}`", ""]
     if not entries:

@@ -10,22 +10,22 @@ The robustness layer around :func:`repro.experiments.runner.run_matrix`:
   graceful degradation (skip-and-report instead of crash);
 * :mod:`repro.robust.faults` — deterministic fault injection
   (raise / kill / hang / NaN) used by the chaos test suite;
-* :mod:`repro.robust.atomicio` — crash-safe write/append primitives
-  shared with the tracked benchmarks.
+* :mod:`repro.robust.atomicio` — atomic whole-file writes and the
+  :class:`RecordLog` under the journal and the serving ε ledger.
 
 See ``docs/robustness.md`` for the failure taxonomy, retry semantics,
 journal format, and the determinism-under-retry argument.
 """
 
-from repro.robust.atomicio import append_line, atomic_write_text
+from repro.robust.atomicio import RecordLog, atomic_write_text
 from repro.robust.executor import run_supervised
 from repro.robust.faults import FaultPlan, FaultRule, InjectedFault
 from repro.robust.journal import CheckpointJournal, spec_fingerprint
 from repro.robust.records import FailedRecord, is_failed
 
 __all__ = [
-    "append_line",
     "atomic_write_text",
+    "RecordLog",
     "run_supervised",
     "FaultPlan",
     "FaultRule",

@@ -10,22 +10,24 @@ Two write disciplines cover every persistence need of the repo:
   The tracked benchmark files (``BENCH_*.json``) and any rewritten
   artifact go through this.
 
-* :func:`append_line` — append-only journals.  The line is written with
-  a single :func:`os.write` on a descriptor opened ``O_APPEND``, then
-  fsynced.  ``O_APPEND`` makes concurrent appenders from multiple
-  processes interleave at line granularity rather than byte-shear, and a
-  crash mid-append can only produce one torn *trailing* line — which the
-  journal reader tolerates by skipping unparseable lines.
+* :class:`RecordLog` — the append-only log under the sweep journal
+  and the serving ε ledger.  Each record is one schema-stamped JSON
+  line, written with a single :func:`os.write` on an ``O_APPEND``
+  descriptor, then fsynced, so a crash can only tear the final line;
+  the reader skips and counts it, and the next append ends it first.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Union
+from typing import Any, Dict, List, Tuple, Union
 
-__all__ = ["atomic_write_text", "append_line"]
+from repro.exceptions import JournalError
+
+__all__ = ["atomic_write_text", "RecordLog"]
 
 PathLike = Union[str, Path]
 
@@ -57,23 +59,62 @@ def atomic_write_text(path: PathLike, text: str) -> None:
         raise
 
 
-def append_line(path: PathLike, line: str) -> None:
-    """Append one ``\\n``-terminated line to ``path``, crash-tolerantly.
+class RecordLog:
+    """Schema-versioned JSONL: one fsync'd ``O_APPEND`` write per record."""
 
-    The line must not itself contain newlines (that would break the
-    one-record-per-line journal format).  The write is a single
-    ``os.write`` on an ``O_APPEND`` descriptor followed by ``fsync``, so
-    concurrent appenders interleave whole lines and an interrupted
-    append can only tear the final line of the file.
-    """
-    if "\n" in line:
-        raise ValueError("journal lines must not contain newlines")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = (line + "\n").encode("utf-8")
-    fd = os.open(str(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, data)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    def __init__(self, path: PathLike, schema: int) -> None:
+        self.path = Path(path)
+        self.schema = schema
+
+    def append(self, record: Dict[str, Any]) -> str:
+        """Durably append ``record``; returns the line written.
+
+        After a torn append (the last byte is not a newline) the write
+        starts with one, so the fragment never swallows this record.
+        """
+        line = json.dumps({"schema": self.schema, **record})
+        data = (line + "\n").encode("utf-8")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(
+            str(self.path), os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
+        )
+        try:
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                data = b"\n" + data
+            os.write(fd, data)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        return line
+
+    def read(self) -> Tuple[List[Dict[str, Any]], int]:
+        """Every whole record in file order, and the count of torn lines.
+
+        A line that is not a JSON object is torn (a crash artifact) and
+        skipped; a whole record that lost only its newline counts.
+        Another schema raises :class:`JournalError` (a version mismatch).
+        """
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return [], 0
+        records: List[Dict[str, Any]] = []
+        torn = 0
+        for line in text.split("\n"):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if not isinstance(record, dict):
+                torn += 1
+            elif record.get("schema") != self.schema:
+                raise JournalError(
+                    f"{self.path} has schema {record.get('schema')!r}; "
+                    f"expected {self.schema}"
+                )
+            else:
+                records.append(record)
+        return records, torn

@@ -44,7 +44,10 @@ means a respawned pool re-ships it automatically.
 
 from __future__ import annotations
 
+import multiprocessing.connection
+import os
 import pickle
+import threading
 import time
 import warnings
 from concurrent.futures import (
@@ -121,9 +124,19 @@ _WORKER_SPEC: Any = None
 
 
 def _init_worker(payload: bytes) -> None:
-    """Pool initializer: unpickle the spec once for this worker."""
+    """Pool initializer: unpickle the spec once for this worker, and
+    exit it when the supervisor dies (a SIGKILLed one never shuts the
+    pool down, leaving its workers blocked on the call queue)."""
     global _WORKER_SPEC
     _WORKER_SPEC = pickle.loads(payload)
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
+
+
+def _exit_with_parent() -> None:
+    """Exit this worker once its parent process has died."""
+    parent = multiprocessing.parent_process()
+    multiprocessing.connection.wait([parent.sentinel])
+    os._exit(1)
 
 
 def _worker_run_seed(seed: int):

@@ -28,8 +28,9 @@ so two workers racing on the same rule can never both pass the
 ``times=N`` check and over-fire it.  Claimed slots survive even
 ``os._exit`` (file creation completes before the action fires), which
 is what keeps "kill the worker exactly twice" deterministic across pool
-respawns.  A human-readable append-only ledger (``<plan>.hits``)
-additionally records *which* trial fired each rule, for debugging.
+respawns.  The slots are the one on-disk record of firings: the
+parent counts them (:func:`hit_counts`), and each slot's winner writes
+who fired it into the slot (spec, publisher and seed, or the site).
 ``times=None`` means "always fire" (a poison pill) and needs no
 accounting.
 
@@ -52,10 +53,10 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import RobustnessError
-from repro.robust.atomicio import append_line, atomic_write_text
+from repro.robust.atomicio import atomic_write_text
 
 __all__ = [
     "ENV_VAR",
@@ -125,63 +126,40 @@ class FaultRule:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """An ordered rule list plus the path its hit ledger lives next to."""
+    """An ordered rule list plus the path its hit slots live next to."""
 
     rules: Tuple[FaultRule, ...]
     path: Optional[Path] = None
 
-    @property
-    def ledger_path(self) -> Optional[Path]:
-        if self.path is None:
-            return None
-        return self.path.with_name(self.path.name + ".hits")
-
     # -- hit accounting ------------------------------------------------
-    def _slot_path(self, rule_index: int, hit: int) -> Optional[Path]:
-        ledger = self.ledger_path
-        if ledger is None:
-            return None
-        return ledger.with_name(f"{ledger.name}.{rule_index}.{hit}")
+    def slot_path(self, rule_index: int, hit: int) -> Path:
+        """The file that records the rule's ``hit``-th firing."""
+        assert self.path is not None
+        return self.path.with_name(f"{self.path.name}.hits.{rule_index}.{hit}")
 
-    def _claim(self, rule_index: int, times: int) -> bool:
+    def _claim(self, rule_index: int, times: int, fired_by: str) -> bool:
         """Atomically claim one of the rule's ``times`` hit slots.
 
         Each slot is a file created with ``O_CREAT | O_EXCL``: exactly
-        one process can win each slot, so the check-and-consume is a
-        single atomic operation and a bounded rule fires exactly
-        ``times`` times even when concurrent workers race on it.
-        Returns ``False`` when every slot is already taken (the rule is
-        exhausted).  A pathless in-memory plan has no slots and always
-        fires (nothing to coordinate through).
+        one process can win each slot (and writes ``fired_by`` into
+        it), so a bounded rule fires exactly ``times`` times even when
+        concurrent workers race on it.  Returns ``False`` when every
+        slot is taken.  A pathless in-memory plan always fires.
         """
-        if self.ledger_path is None:
+        if self.path is None:
             return True
         for hit in range(times):
-            slot = self._slot_path(rule_index, hit)
-            assert slot is not None
             try:
                 fd = os.open(
-                    str(slot), os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
+                    str(self.slot_path(rule_index, hit)),
+                    os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644,
                 )
             except FileExistsError:
                 continue  # another process (or a prior attempt) owns it
+            os.write(fd, (fired_by + "\n").encode("utf-8"))
             os.close(fd)
             return True
         return False
-
-    def _consume(self, rule_index: int, spec_name: str, publisher: str,
-                 seed: int) -> None:
-        """Record *who* fired a rule in the human-readable ledger.
-
-        Purely observational — the slot files are the source of truth
-        for exactly-N accounting.
-        """
-        ledger = self.ledger_path
-        if ledger is None:
-            return
-        append_line(
-            ledger, f"{rule_index}\t{spec_name}\t{publisher}\t{seed}"
-        )
 
     def pick(
         self, spec_name: str, publisher: str, seed: int,
@@ -204,9 +182,9 @@ class FaultPlan:
             if not rule.matches(spec_name, publisher, seed):
                 continue
             if rule.times is not None:
-                if not self._claim(index, rule.times):
+                fired_by = site or f"{spec_name}\t{publisher}\t{seed}"
+                if not self._claim(index, rule.times, fired_by):
                     continue
-                self._consume(index, spec_name, publisher, seed)
             return rule
         return None
 
@@ -215,9 +193,9 @@ def write_plan(path: "str | Path",
                rules: Sequence[Union[FaultRule, Dict[str, Any]]]) -> Path:
     """Serialize ``rules`` to ``path`` atomically; returns the path.
 
-    Accepts :class:`FaultRule` instances or plain dicts.  Any stale hit
-    ledger and claimed hit slots next to ``path`` are removed so a
-    fresh plan starts at zero firings.
+    Accepts :class:`FaultRule` instances or plain dicts.  Any claimed
+    hit slots next to ``path`` are removed so a fresh plan starts at
+    zero firings.
     """
     path = Path(path)
     normalized = [
@@ -229,7 +207,7 @@ def write_plan(path: "str | Path",
         "rules": [asdict(rule) for rule in normalized],
     }
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-    # The ledger itself plus every hit-slot file (<name>.hits.<r>.<h>).
+    # Every hit-slot file (<name>.hits.<r>.<h>).
     for stale in path.parent.glob(path.name + ".hits*"):
         try:
             stale.unlink()
@@ -312,17 +290,15 @@ def maybe_inject_site(site: str, detail: str = "") -> None:
 
 
 def hit_counts(plan: "FaultPlan | str | Path | None" = None) -> Dict[int, int]:
-    """Per-rule firing counts from the plan's on-disk hit ledger.
+    """Per-rule firing counts: the plan's claimed hit slots.
 
-    Fault rules fire *inside worker processes*, so the parent cannot
-    count them through in-process state; the append-only ledger
-    (``<plan>.hits``, one tab-separated line per firing) is the channel
-    that survives worker death — even ``os._exit``, because the slot
-    claim and ledger append complete before the action fires.
+    Fault rules fire *inside worker processes*, so the parent counts
+    the slot files, the channel that survives worker death — even
+    ``os._exit``, because the claim completes before the action fires.
 
     ``plan`` may be a :class:`FaultPlan`, a plan path, or ``None`` for
     the :data:`ENV_VAR`-active plan.  Returns ``{rule_index: count}``;
-    empty when there is no plan, no ledger, or no firings.
+    empty when there is no plan or no firings.
     """
     if plan is None:
         plan = active_plan()
@@ -330,14 +306,11 @@ def hit_counts(plan: "FaultPlan | str | Path | None" = None) -> Dict[int, int]:
             return {}
     if not isinstance(plan, FaultPlan):
         plan = load_plan(plan)
-    ledger = plan.ledger_path
-    if ledger is None or not ledger.exists():
+    if plan.path is None:
         return {}
     counts: Dict[int, int] = {}
-    for line in ledger.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rule_index = int(line.split("\t", 1)[0])
+    for slot in plan.path.parent.glob(plan.path.name + ".hits.*.*"):
+        rule_index = int(slot.name.rsplit(".", 2)[1])
         counts[rule_index] = counts.get(rule_index, 0) + 1
     return counts
 

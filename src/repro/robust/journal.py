@@ -22,10 +22,10 @@ Serialization round-trips every statistical field exactly:
   float arrays in ``RunRecord.meta`` come back ``np.array_equal``
   (``equal_nan=True``).
 
-Appends go through :func:`repro.robust.atomicio.append_line`
-(``O_APPEND`` + fsync), so a SIGKILL mid-append tears at most the final
-line; the loader skips unparseable lines and lets later entries for the
-same key win.
+The file is a :class:`repro.robust.atomicio.RecordLog` (``O_APPEND`` +
+fsync), so a SIGKILL mid-append tears at most the final line, the
+loader skips that line, and the next append starts on a fresh line.
+Later entries for the same cell win (:meth:`CheckpointJournal.latest`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.exceptions import JournalError
-from repro.robust.atomicio import append_line
+from repro.robust.atomicio import RecordLog
 from repro.robust.records import FailedRecord
 
 __all__ = [
@@ -253,21 +253,22 @@ class CheckpointJournal:
     """
 
     def __init__(self, path: "str | Path") -> None:
-        self.path = Path(path)
+        self._log = RecordLog(path, JOURNAL_SCHEMA)
+        self.path = self._log.path
         # The entries the last read parsed and the file stamp it saw: a
         # resume asks for them once per spec cell, so the file is parsed
         # again only when its stamp changes.
         self._parsed: List[Dict[str, Any]] = []
         self._parsed_stamp: Optional[Tuple[int, int, int]] = None
-        self._parsed_to_newline = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CheckpointJournal({str(self.path)!r})"
 
     def append(self, record: JournalRecord, fingerprint: str) -> None:
         """Durably append one completed trial."""
-        entry = {
-            "schema": JOURNAL_SCHEMA,
+        extend = (self._parsed_stamp is not None
+                  and self._parsed_stamp == self._stamp())
+        line = self._log.append({
             "fingerprint": fingerprint,
             "key": {
                 "spec_name": record.spec_name,
@@ -276,14 +277,10 @@ class CheckpointJournal:
                 "epsilon": float(record.epsilon),
             },
             "payload": record_to_payload(record),
-        }
-        line = json.dumps(entry)
-        extend = (self._parsed_stamp is not None and self._parsed_to_newline
-                  and self._parsed_stamp == self._stamp())
-        append_line(self.path, line)
+        })
         if extend:
-            # The file is exactly the last read plus this line: keep the
-            # parsed entries current instead of re-reading them.
+            # The file is the last read plus this record (a torn line
+            # stays torn): keep the parsed entries instead of re-reading.
             self._parsed.append(json.loads(line))
             self._parsed_stamp = self._stamp()
 
@@ -296,43 +293,27 @@ class CheckpointJournal:
         return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
     def entries(self) -> List[Dict[str, Any]]:
-        """All parseable journal entries, in file order.
-
-        Unparseable lines (a torn final append, editor noise) are
-        skipped; entries with a wrong schema raise, since that signals a
-        version mismatch rather than a crash artifact.  The file is
-        parsed again only when its inode, size or mtime has changed
-        since the last read.
-        """
+        """All whole journal entries, in file order (see
+        :meth:`RecordLog.read`).  The file is parsed again only when its
+        inode, size or mtime has changed since the last read."""
         stamp = self._stamp()
         if stamp is None:
             return []
         if stamp != self._parsed_stamp:
-            text = self.path.read_text(encoding="utf-8")
-            self._parsed = self._parse(text)
+            self._parsed, _torn = self._log.read()
             self._parsed_stamp = stamp
-            self._parsed_to_newline = not text or text.endswith("\n")
         return list(self._parsed)
 
-    def _parse(self, text: str) -> List[Dict[str, Any]]:
-        out: List[Dict[str, Any]] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn trailing line from a crash mid-append
-            if not isinstance(entry, dict) or "payload" not in entry:
-                continue
-            if entry.get("schema") != JOURNAL_SCHEMA:
-                raise JournalError(
-                    f"journal {self.path} has schema "
-                    f"{entry.get('schema')!r}; expected {JOURNAL_SCHEMA}"
-                )
-            out.append(entry)
-        return out
+    def latest(self) -> List[Dict[str, Any]]:
+        """The last raw entry per (fingerprint, spec, publisher, seed, ε).
+
+        Cells keep the order they first appear in; a later entry (a
+        rerun, a healed quarantine) replaces an earlier one.
+        """
+        out: Dict[Tuple[str, Key], Dict[str, Any]] = {}
+        for entry in self.entries():
+            out[(entry.get("fingerprint", ""), _cell(entry))] = entry
+        return list(out.values())
 
     def completed(self, fingerprint: str) -> Dict[Key, JournalRecord]:
         """Deserialized records matching ``fingerprint``, keyed by cell.
@@ -344,14 +325,7 @@ class CheckpointJournal:
         for entry in self.entries():
             if entry.get("fingerprint") != fingerprint:
                 continue
-            key = entry["key"]
-            cell: Key = (
-                key["spec_name"],
-                key["publisher"],
-                int(key["seed"]),
-                float(key["epsilon"]),
-            )
-            out[cell] = record_from_payload(entry["payload"])
+            out[_cell(entry)] = record_from_payload(entry["payload"])
         return out
 
     def seeds_done(self, fingerprint: str) -> Dict[int, JournalRecord]:
@@ -360,3 +334,10 @@ class CheckpointJournal:
             key[2]: record
             for key, record in self.completed(fingerprint).items()
         }
+
+
+def _cell(entry: Dict[str, Any]) -> Key:
+    """An entry's (spec_name, publisher, seed, epsilon) cell."""
+    key = entry["key"]
+    return (key["spec_name"], key["publisher"], int(key["seed"]),
+            float(key["epsilon"]))

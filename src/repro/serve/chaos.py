@@ -8,7 +8,10 @@ before the reply, and mid-artifact-spill — plus a short delayed-handler
 fault, then drives a deterministic replay through a babysitter that
 restarts the server every time it dies.  The fault plan's on-disk hit
 slots make every kill fire exactly once across restarts, so the drill
-is reproducible.
+is reproducible.  The restart after the ``serve.after_journal`` kill
+first cuts the ledger's last line (a debit journaled but never
+answered) to half its bytes, once, as if that SIGKILL had landed
+mid-write.
 
 After the trace completes the drill asserts the invariants the WAL
 design promises:
@@ -72,6 +75,13 @@ def default_chaos_rules(hang_seconds: float = 0.1) -> List[faults.FaultRule]:
         hang_seconds=hang_seconds,
     ))
     return rules
+
+
+def _tear_last_line(path: Path) -> None:
+    """Cut the file's last line to half its bytes."""
+    data = path.read_bytes().rstrip(b"\n")
+    start = data.rfind(b"\n") + 1
+    os.truncate(path, start + (len(data) - start) // 2)
 
 
 def _free_port() -> int:
@@ -251,7 +261,15 @@ def run_chaos_replay(
         "--tenant-budget", str(tenant_budget),
     ]
 
+    torn = False
+
     def _spawn() -> subprocess.Popen:
+        nonlocal torn
+        fired = {(plan.rules[i].action, plan.rules[i].site)
+                 for i in faults.hit_counts(plan)}
+        if not torn and ("kill", "serve.after_journal") in fired:
+            _tear_last_line(state_dir / "ledger.jsonl")
+            torn = True
         return subprocess.Popen(
             command, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,

@@ -6,10 +6,10 @@ system that loses (or double-spends) its ε-ledger on a crash silently
 voids the differential-privacy budget the publish paid for.  The
 :class:`LedgerLog` closes that hole with the same discipline the
 checkpoint journal uses for experiment sweeps
-(:mod:`repro.robust.journal`): one self-contained JSON line per event,
-appended via :func:`repro.robust.atomicio.append_line` (single
-``O_APPEND`` write + fsync), so a SIGKILL mid-append can tear at most
-the final line and the loader tolerates exactly that.
+(:mod:`repro.robust.journal`), as a codec over the same
+:class:`repro.robust.atomicio.RecordLog`: one JSON line per event, so a
+SIGKILL mid-append tears at most the final line, which replay skips
+and counts and the next append ends before writing.
 
 Two event kinds:
 
@@ -52,13 +52,11 @@ fresh accountants at startup, restoring the exact spent totals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.exceptions import JournalError
-from repro.robust.atomicio import append_line
+from repro.robust.atomicio import RecordLog
 
 __all__ = [
     "LEDGER_SCHEMA", "LedgerDebit", "LedgerLog", "LedgerReplay",
@@ -126,7 +124,8 @@ class LedgerLog:
     """Append-only, torn-tail-tolerant ε-ledger journal."""
 
     def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
+        self._log = RecordLog(path, LEDGER_SCHEMA)
+        self.path = self._log.path
         #: Appends performed by *this* process (not the replayed past).
         self.appends = 0
 
@@ -135,10 +134,7 @@ class LedgerLog:
 
     # -- writes --------------------------------------------------------
     def _append(self, entry: Dict[str, Any]) -> None:
-        append_line(
-            self.path,
-            json.dumps({"schema": LEDGER_SCHEMA, **entry}, sort_keys=True),
-        )
+        self._log.append(entry)
         self.appends += 1
 
     def append_tenant(self, tenant: str, budget: float) -> None:
@@ -185,32 +181,16 @@ class LedgerLog:
         Unparseable lines (the torn tail of an interrupted append) are
         counted and skipped — a truncation at *any* byte offset yields
         a clean prefix of the journaled debits, never a corrupted
-        total.  A wrong schema number raises :class:`JournalError`
+        total, and debits appended after the tear replay too.  A wrong
+        schema number raises :class:`~repro.exceptions.JournalError`
         (version mismatch, not a crash artifact).  Keyed debits whose
         key repeats are dropped, so replaying a journal that recorded a
         retried-and-deduped request stays exactly-once.
         """
         replay = LedgerReplay()
-        if not self.path.exists():
-            return replay
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                replay.torn_lines += 1
-                continue
-            if not isinstance(entry, dict) or "kind" not in entry:
-                replay.torn_lines += 1
-                continue
-            if entry.get("schema") != LEDGER_SCHEMA:
-                raise JournalError(
-                    f"ledger {self.path} has schema "
-                    f"{entry.get('schema')!r}; expected {LEDGER_SCHEMA}"
-                )
-            kind = entry["kind"]
+        entries, replay.torn_lines = self._log.read()
+        for entry in entries:
+            kind = entry.get("kind")
             if kind == "tenant":
                 replay.tenants.setdefault(
                     str(entry["tenant"]), float(entry["budget"])

@@ -54,7 +54,7 @@ def fault_env(tmp_path, monkeypatch):
     """Write a fault plan and activate it via REPRO_FAULT_PLAN.
 
     Returns a callable ``activate(rules)`` that (re)writes the plan —
-    resetting the hit ledger — and points the environment at it.
+    resetting its hit slots — and points the environment at it.
     """
     plan_path = tmp_path / "fault_plan.json"
 

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.robust.atomicio import append_line, atomic_write_text
+from repro.robust.atomicio import RecordLog, atomic_write_text
 
 
 class TestAtomicWriteText:
@@ -43,21 +43,38 @@ class TestAtomicWriteText:
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
-class TestAppendLine:
+class TestRecordLog:
     def test_appends_in_order(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        append_line(path, "a")
-        append_line(path, "b")
-        assert path.read_text() == "a\nb\n"
+        log = RecordLog(tmp_path / "j.jsonl", schema=1)
+        log.append({"n": 1})
+        log.append({"n": 2})
+        assert log.path.read_text() == (
+            '{"schema": 1, "n": 1}\n{"schema": 1, "n": 2}\n'
+        )
+        assert log.read() == ([{"schema": 1, "n": 1},
+                               {"schema": 1, "n": 2}], 0)
 
-    def test_rejects_embedded_newlines(self, tmp_path):
-        with pytest.raises(ValueError):
-            append_line(tmp_path / "j.jsonl", "bad\nline")
+    def test_embedded_newlines_stay_on_one_line(self, tmp_path):
+        log = RecordLog(tmp_path / "j.jsonl", schema=1)
+        line = log.append({"text": "bad\nline"})
+        assert "\n" not in line
+        assert log.read() == ([{"schema": 1, "text": "bad\nline"}], 0)
 
     def test_creates_file_and_parents(self, tmp_path):
-        path = tmp_path / "deep" / "j.jsonl"
-        append_line(path, "x")
-        assert path.read_text() == "x\n"
+        log = RecordLog(tmp_path / "deep" / "j.jsonl", schema=1)
+        assert log.read() == ([], 0)
+        log.append({})
+        assert log.path.read_text() == '{"schema": 1}\n'
+
+    def test_append_ends_a_torn_line_first(self, tmp_path):
+        log = RecordLog(tmp_path / "j.jsonl", schema=1)
+        log.append({"n": 1})
+        with log.path.open("a") as handle:
+            handle.write('{"schema": 1, "n"')  # a SIGKILL mid-append
+        assert log.read() == ([{"schema": 1, "n": 1}], 1)
+        log.append({"n": 3})
+        assert log.read() == ([{"schema": 1, "n": 1},
+                               {"schema": 1, "n": 3}], 1)
 
 
 class TestBenchWritesAreAtomic:

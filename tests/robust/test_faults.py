@@ -44,9 +44,10 @@ class TestPlanFile:
         faults.write_plan(path, [{"action": "raise", "times": 1}])
         plan = faults.load_plan(path)
         assert plan.pick("s", "p", 0, ("raise",)) is not None
-        assert plan.ledger_path.exists()
+        assert plan.slot_path(0, 0).read_text() == "s\tp\t0\n"
         faults.write_plan(path, [{"action": "raise", "times": 1}])
-        assert not plan.ledger_path.exists()
+        assert not plan.slot_path(0, 0).exists()
+        assert plan.pick("s", "p", 0, ("raise",)) is not None
 
     def test_inactive_without_env(self, monkeypatch):
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
@@ -79,7 +80,7 @@ class TestHitAccounting:
         plan = faults.load_plan(path)
         for _ in range(5):
             assert plan.pick("s", "p", 0, ("raise",)) is not None
-        assert not plan.ledger_path.exists()
+        assert faults.hit_counts(path) == {}
 
     def test_hits_survive_reload(self, tmp_path):
         """The ledger is on disk: a respawned process sees prior firings."""
@@ -100,8 +101,7 @@ class TestHitAccounting:
         plan = faults.load_plan(path)
         # Simulate the race being lost: the only hit slot (rule 0,
         # hit 0) was claimed between our match and our fire.
-        slot = plan.ledger_path.with_name(plan.ledger_path.name + ".0.0")
-        slot.touch()
+        plan.slot_path(0, 0).touch()
         assert plan.pick("s", "p", 0, ("raise",)) is None
 
     def test_bounded_rule_never_over_fires_across_processes(self, tmp_path):

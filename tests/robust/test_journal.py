@@ -185,6 +185,28 @@ class TestJournalFile:
         done = journal.seeds_done(fp)
         assert list(done) == [0]  # seed 1's entry is torn -> re-runnable
 
+    def test_truncation_every_offset_then_append(self, tmp_path,
+                                                 make_spec):
+        """A tear at any offset keeps every entry the reader counted,
+        and the record appended after the tear is found too."""
+        spec = make_spec(seeds=(0, 1, 2))
+        records = run_matrix(spec)
+        fp = spec_fingerprint(spec)
+        path = tmp_path / "j.jsonl"
+        for record in records[:2]:
+            CheckpointJournal(path).append(record, fp)
+        data = path.read_bytes()
+        for offset in range(len(data) + 1):
+            path.write_bytes(data[:offset])
+            before = CheckpointJournal(path).entries()
+            CheckpointJournal(path).append(records[2], fp)
+            after = CheckpointJournal(path).entries()
+            assert after[:-1] == before, offset
+            assert records_equal(
+                record_from_payload(after[-1]["payload"]), records[2],
+                ignore_timing=False,
+            )
+
     def test_later_entries_win(self, tmp_path, make_spec):
         spec = make_spec(seeds=(0,))
         journal = CheckpointJournal(tmp_path / "j.jsonl")
@@ -197,6 +219,26 @@ class TestJournalFile:
         journal.append(failed, fp)
         journal.append(record, fp)
         assert records_equal(journal.seeds_done(fp)[0], record)
+
+    def test_latest_is_the_last_entry_per_cell(self, tmp_path, make_spec):
+        spec_a = make_spec(seeds=(0, 1))
+        spec_b = make_spec(seeds=(0,), epsilon=0.25)
+        fp_a, fp_b = spec_fingerprint(spec_a), spec_fingerprint(spec_b)
+        records = run_matrix(spec_a)
+        journal = CheckpointJournal(tmp_path / "j.jsonl")
+        journal.append(FailedRecord(
+            spec_name=records[0].spec_name, publisher=records[0].publisher,
+            seed=0, epsilon=records[0].epsilon, error="TrialTimeoutError",
+        ), fp_a)
+        journal.append(records[1], fp_a)
+        journal.append(records[0], fp_a)
+        journal.append(run_matrix(spec_b)[0], fp_b)
+        latest = journal.latest()
+        assert [(e["fingerprint"], e["key"]["seed"], e["payload"]["kind"])
+                for e in latest] == [
+            (fp_a, 0, "record"), (fp_a, 1, "record"), (fp_b, 0, "record"),
+        ]
+        assert latest[0] == journal.entries()[2]
 
     def test_entries_follow_every_change_to_the_file(self, tmp_path,
                                                      make_spec):

@@ -7,9 +7,12 @@ This is the paper-repo's disaster drill, exercised through the real
 2. wait until some trials are journaled, then SIGKILL the whole process,
 3. rerun with ``--resume`` and no fault,
 4. assert the journal holds every seed and each record is bit-identical
-   (``records_equal``) to an uninterrupted in-process serial run.
+   (``records_equal``) to an uninterrupted in-process serial run,
+5. assert no process outlives the drill: the killed sweep's pool
+   workers exit with their supervisor.
 """
 
+import glob
 import json
 import os
 import signal
@@ -61,6 +64,21 @@ def _count_journal_lines(path):
             continue
         n += 1
     return n
+
+
+def _processes_naming(path):
+    """Pids of live processes whose command line contains ``path``
+    (forked pool workers inherit the sweep's command line)."""
+    needle = str(path).encode()
+    pids = []
+    for cmdline in glob.glob("/proc/[0-9]*/cmdline"):
+        try:
+            with open(cmdline, "rb") as handle:
+                if needle in handle.read():
+                    pids.append(int(cmdline.split("/")[2]))
+        except OSError:
+            continue  # the process exited while we looked
+    return pids
 
 
 def test_sigkill_mid_sweep_then_resume_is_bit_identical(tmp_path):
@@ -134,3 +152,14 @@ def test_sigkill_mid_sweep_then_resume_is_bit_identical(tmp_path):
     assert sorted(done) == list(spec.seeds)
     for record in serial:
         assert records_equal(record, done[record.seed]), record.seed
+
+    deadline = time.monotonic() + 30.0
+    while _processes_naming(journal_path) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    survivors = _processes_naming(journal_path)
+    for pid in survivors:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass
+    assert not survivors, f"orphaned sweep processes: {survivors}"

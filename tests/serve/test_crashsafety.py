@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.serve.ledgerlog import LedgerLog
+from repro.serve.ledgerlog import LedgerDebit, LedgerLog
 from repro.serve.service import QueryService
 from repro.serve.store import ArtifactStore
 from repro.serve.artifacts import publish_artifact
@@ -146,14 +146,23 @@ def _expected_from_prefix(data: bytes) -> float:
 
 
 def test_ledger_truncation_every_offset_exhaustive(tmp_path):
+    """A tear at any offset keeps the intact prefix, and the next
+    incarnation's appends all replay: the torn line never swallows the
+    debit written after it."""
     path = tmp_path / "ledger.jsonl"
     data = _ledger_fixture(path)
+    after = LedgerDebit("alice", EPSILON, key="after-tear")
     for offset in range(len(data) + 1):
         path.write_bytes(data[:offset])
         replay = LedgerLog(path).replay()
         spent = replay.spent_by_tenant().get("alice", 0.0)
         assert spent == pytest.approx(_expected_from_prefix(data[:offset]))
         assert replay.torn_lines <= 1
+        LedgerLog(path).append_debit(after.tenant, after.epsilon,
+                                     key=after.key)
+        resumed = LedgerLog(path).replay()
+        assert resumed.debits == replay.debits + [after], offset
+        assert resumed.torn_lines == replay.torn_lines
 
 
 @settings(max_examples=60, deadline=None)

@@ -464,9 +464,12 @@ class TestWirePath:
             "alpha", [{"bin": 2}], fingerprint=published["fingerprint"],
             request_id="join-me-1",
         )
+        # Each handler writes its line after its response goes out, so
+        # wait for the publish line as well as the query line.
         lines = wait_for_log(
             log_path,
-            lambda ls: any(l["endpoint"] == "query" for l in ls),
+            lambda ls: len(ls) >= 3
+            and {"publish", "query"} <= {l["endpoint"] for l in ls},
         )
         assert len(lines) >= 3  # healthz poll(s) + publish + query
         for line in lines:
