@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import html as _html
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.obs.drift import DriftVerdict, detect_drift
 from repro.obs.history import HistoryStore
+from repro.obs.report import md_table
 
 __all__ = [
     "render_dashboard",
@@ -86,14 +87,6 @@ def _fmt(value: Optional[float], digits: int = 4) -> str:
     return f"{float(value):.{digits}g}"
 
 
-def _md_table(headers: Sequence[str],
-              rows: Sequence[Sequence[Any]]) -> List[str]:
-    head = "| " + " | ".join(str(h) for h in headers) + " |"
-    sep = "|" + "|".join(" --- " for _ in headers) + "|"
-    body = ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
-    return [head, sep, *body]
-
-
 def _short_commit(sha: str) -> str:
     return sha[:10] if len(sha) > 10 else sha
 
@@ -128,7 +121,7 @@ def _accuracy_section(store: HistoryStore) -> List[str]:
             int(latest["n_ok"] or 0),
             int(latest["n_failed"] or 0),
         ))
-    lines.extend(_md_table(
+    lines.extend(md_table(
         ["cell", "ε", "batches", "mean unit MSE trend", "latest",
          "oracle", "obs/oracle", "ok", "failed"],
         rows,
@@ -238,7 +231,7 @@ def _utility_section(store: HistoryStore,
                 _STATUS_BADGE.get(status, status),
             ))
         if rows:
-            lines.extend(_md_table(
+            lines.extend(md_table(
                 ["scenario", "publisher", "ε", "batches",
                  "unit MSE trend", "latest", "oracle", "obs/oracle",
                  "status"],
@@ -251,7 +244,7 @@ def _utility_section(store: HistoryStore,
                 "NoiseFirst ↔ StructureFirst crossover by range length:"
             )
             lines.append("")
-            lines.extend(_md_table(
+            lines.extend(md_table(
                 ["scenario", "ε", "lengths compared", "crossover",
                  "badge"],
                 badges,
@@ -286,7 +279,7 @@ def _worst_offenders(store: HistoryStore,
     if acc:
         lines.append("### Accuracy (distance from oracle)")
         lines.append("")
-        lines.extend(_md_table(
+        lines.extend(md_table(
             ["cell", "obs/oracle", "band", "status"],
             [
                 (v.cell, _fmt(v.ratio, 3), f"±{_fmt(v.band, 2)}",
@@ -298,7 +291,7 @@ def _worst_offenders(store: HistoryStore,
     if perf:
         lines.append("### Performance (latest vs reference)")
         lines.append("")
-        lines.extend(_md_table(
+        lines.extend(md_table(
             ["bench key", "latest/ref", "CUSUM", "status"],
             [
                 (v.cell, _fmt(v.ratio, 3), _fmt(v.cusum, 3),
@@ -339,7 +332,7 @@ def _perf_section(store: HistoryStore) -> List[str]:
             f"{latest:.3f}",
             "—" if delta is None else f"{delta:+.1f}%",
         ))
-    lines.extend(_md_table(
+    lines.extend(md_table(
         ["bench key", "points", "normalized trend", "latest",
          "Δ vs previous"],
         rows,
@@ -384,7 +377,7 @@ def _commit_deltas(store: HistoryStore) -> List[str]:
             _fmt(mse), d_mse, _fmt(secs), d_secs,
         ))
         prev = row
-    lines.extend(_md_table(
+    lines.extend(md_table(
         ["commit", "trials", "mean unit MSE", "Δ MSE", "mean publish s",
          "Δ s"],
         table,
@@ -405,7 +398,7 @@ def _verdict_section(verdicts: Sequence[DriftVerdict]) -> List[str]:
             _STATUS_BADGE.get(v.status, v.status),
             "; ".join(v.details) if v.details else "—",
         ))
-    lines.extend(_md_table(["kind", "cell", "status", "details"], rows))
+    lines.extend(md_table(["kind", "cell", "status", "details"], rows))
     lines.append("")
     counts: Dict[str, int] = {}
     for v in verdicts:
@@ -466,7 +459,7 @@ def _serving_section(store: HistoryStore) -> List[str]:
         f"- p50 trend: `{sparkline(p50s)}`" if p50s else "- no data",
         "",
     ]
-    lines.extend(_md_table(
+    lines.extend(md_table(
         ["commit", "manifest", "p50 s", "p99 s", "q/s"],
         table_rows[-12:],
     ))
@@ -520,7 +513,7 @@ def _serving_slo_section(store: HistoryStore) -> List[str]:
         f"drift above that",
         "",
     ]
-    lines.extend(_md_table(
+    lines.extend(md_table(
         ["commit", "manifest", "objective", "burn", "verdict"],
         table_rows,
     ))
@@ -543,7 +536,7 @@ def _operations_section(store: HistoryStore) -> List[str]:
         lines.append("")
         lines.append("### Straggler alerts")
         lines.append("")
-        lines.extend(_md_table(
+        lines.extend(md_table(
             ["commit", "spec", "seed", "age s", "threshold s"],
             [
                 (_short_commit(a["commit_sha"]), a["spec_name"],
@@ -557,7 +550,7 @@ def _operations_section(store: HistoryStore) -> List[str]:
         lines.append("")
         lines.append("### Executor totals (latest batches)")
         lines.append("")
-        lines.extend(_md_table(
+        lines.extend(md_table(
             ["commit", "labels", "value"],
             [
                 (_short_commit(t["commit_sha"]), t["labels"],
@@ -605,7 +598,7 @@ def _serving_resilience_rows(store: HistoryStore) -> List[str]:
         "### Serving resilience (sheds / degraded / recoveries)",
         "",
     ]
-    lines.extend(_md_table(
+    lines.extend(md_table(
         ["commit", "manifest", "event", "detail", "count"], rows,
     ))
     return lines

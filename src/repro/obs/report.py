@@ -29,17 +29,16 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.obs.trace import stage_totals
 
-__all__ = ["render_report", "write_report"]
+__all__ = ["md_table", "render_report", "write_report"]
 
 
-def _md_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """GitHub-flavored markdown pipe table."""
+def md_table(headers: Sequence[str],
+             rows: Sequence[Sequence[Any]]) -> List[str]:
+    """GitHub-flavored markdown pipe table, one string per line."""
     head = "| " + " | ".join(str(h) for h in headers) + " |"
     sep = "|" + "|".join(" --- " for _ in headers) + "|"
-    body = [
-        "| " + " | ".join(str(cell) for cell in row) + " |" for row in rows
-    ]
-    return "\n".join([head, sep, *body])
+    body = ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
+    return [head, sep, *body]
 
 
 def _fmt_seconds(value: float) -> str:
@@ -105,7 +104,7 @@ def _stage_breakdown(records: List[Any]) -> List[str]:
             )
             for name, (n, pub, ev) in sorted(coarse.items())
         ]
-        lines.append(_md_table(
+        lines.extend(md_table(
             ["publisher", "trials", "publish s", "eval s",
              "mean publish s", "mean eval s"],
             rows,
@@ -135,7 +134,7 @@ def _stage_breakdown(records: List[Any]) -> List[str]:
                 _fmt_seconds(seconds / calls),
                 f"{share:.1f}%",
             ))
-    lines.append(_md_table(
+    lines.extend(md_table(
         ["publisher", "stage", "calls", "total s", "mean s",
          "share of trial"],
         rows,
@@ -164,7 +163,7 @@ def _failure_taxonomy(failures: List[Any]) -> List[str]:
         attempts = sum(f.attempts for f in group)
         example = group[0].cause.replace("|", "\\|")[:120] or "(no cause)"
         rows.append((error, len(group), publishers, attempts, example))
-    lines.append(_md_table(
+    lines.extend(md_table(
         ["error", "count", "publishers", "total attempts", "example cause"],
         rows,
     ))
@@ -207,7 +206,7 @@ def _epsilon_ledger(records: List[Any]) -> List[str]:
             spec_name, publisher, f"{eps:g}", n,
             f"{ledger.total().epsilon:g}",
         ))
-    lines.append(_md_table(
+    lines.extend(md_table(
         ["spec", "publisher", "ε per trial", "trials ok",
          "composed ε (sequential)"],
         rows,
@@ -270,7 +269,7 @@ def _history_deltas(records: List[Any], history: Any) -> List[str]:
         if not rows:
             lines.append("No successful trials to compare.")
             return lines
-        lines.append(_md_table(
+        lines.extend(md_table(
             ["cell", "ε", "mean unit MSE", "Δ vs history",
              "mean publish s", "Δ vs history", "prior trials"],
             rows,

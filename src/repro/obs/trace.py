@@ -18,7 +18,12 @@ Design constraints (see ``docs/observability.md``):
   under 5% of a representative publish.
 * **Monotonic.**  Durations come from ``time.perf_counter`` (the
   monotonic high-resolution clock); spans never read wall-clock time,
-  so traces are immune to clock steps.
+  so traces are immune to clock steps.  This module is the only reader
+  of that clock in ``repro``.
+* **One clock per request.**  :func:`root` opens a root that records
+  whether or not tracing is on; the serving wing derives each
+  request's latency, stage map and histograms from that one tree
+  (``repro.serve.telemetry``).
 * **Worker-safe.**  Activation is by the :data:`ENV_VAR` environment
   variable (inherited by pool workers, exactly like
   ``repro.robust.faults``) or a process-local :func:`set_enabled` flag.
@@ -51,6 +56,7 @@ __all__ = [
     "best_of",
     "capture",
     "enabled",
+    "root",
     "self_seconds",
     "set_enabled",
     "span",
@@ -193,7 +199,7 @@ def span(name: str, **attrs: Any):
     return _LiveSpanContext(stack, name, attrs)
 
 
-class _CaptureContext:
+class _RootContext:
     """Root-span context installing a fresh span stack for this thread."""
 
     __slots__ = ("_name", "_attrs", "_root", "_previous", "_t0")
@@ -215,6 +221,18 @@ class _CaptureContext:
         return False
 
 
+def root(name: str, **attrs: Any):
+    """Start a root span for this thread, whether tracing is on or off.
+
+    Returns a context manager yielding the root :class:`Span`; spans
+    opened under it record as under :func:`capture`.  For callers whose
+    own numbers are read off the tree, so they must not depend on the
+    tracing flag.  Roots stack like captures: the inner one records into
+    its own tree and restores the outer one on exit.
+    """
+    return _RootContext(name, attrs)
+
+
 def capture(name: str, **attrs: Any):
     """Start a root span (when tracing is enabled) for this thread.
 
@@ -225,7 +243,7 @@ def capture(name: str, **attrs: Any):
     """
     if not enabled():
         return _NULL
-    return _CaptureContext(name, attrs)
+    return _RootContext(name, attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +269,8 @@ def self_seconds(node: Dict[str, Any]) -> float:
 
     The "unattributed" remainder of a serialized span — what the
     serving debug endpoint reports as time a request spent outside any
-    documented stage.  Clamped at zero (clock jitter can make child
-    sums exceed the parent by nanoseconds).
+    documented stage.  Clamped at zero (float rounding can make child
+    sums exceed the parent by a few ulps).
     """
     own = float(node.get("seconds", 0.0))
     children = sum(

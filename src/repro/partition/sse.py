@@ -30,6 +30,7 @@ class SegmentStats:
         self._n = len(arr)
         self._prefix = np.concatenate(([0.0], np.cumsum(arr)))
         self._prefix_sq = np.concatenate(([0.0], np.cumsum(arr * arr)))
+        self._non_decreasing = bool(np.all(arr[1:] >= arr[:-1]))
         # Hoisted index buffer: sse_row slices this instead of allocating
         # a fresh np.arange per call (the DP calls sse_row n times, which
         # used to cost O(n^2) allocation churn per run).
@@ -49,6 +50,12 @@ class SegmentStats:
     def prefix_sq(self) -> np.ndarray:
         """Prefix sums of squares (length n+1)."""
         return self._prefix_sq
+
+    @property
+    def non_decreasing(self) -> bool:
+        """Whether the counts are sorted non-decreasing (checked on them,
+        not on the prefix sums, whose differences round)."""
+        return self._non_decreasing
 
     @property
     def indices(self) -> np.ndarray:

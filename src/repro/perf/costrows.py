@@ -83,7 +83,6 @@ class PrefixSSECost:
         self._prefix = stats.prefix
         self._prefix_sq = stats.prefix_sq
         self._indices = stats.indices
-        self._monge: "bool | None" = None
 
     #: Single-bin SSE is identically zero (one value, its own mean).
     single_bin_free = True
@@ -98,12 +97,12 @@ class PrefixSSECost:
         unsorted sequences violate it (``[0, 1, 0]`` is a
         counterexample — see docs/performance.md), so the
         divide-and-conquer kernel only engages on this certificate.
-        Checked once in O(n) via the prefix sums' first differences.
+        Checked once in O(n) on the counts themselves
+        (:attr:`SegmentStats.non_decreasing`): first differences of the
+        prefix sums round, and would refuse sorted counts such as
+        ``[1e-12, 16, 16]``.
         """
-        if self._monge is None:
-            diffs = np.diff(self._prefix)
-            self._monge = bool(np.all(diffs[1:] >= diffs[:-1]))
-        return self._monge
+        return self._stats.non_decreasing
 
     def column(self, j: int) -> np.ndarray:
         """``cost(i, j)`` for all ``i in [0, j)`` (== ``sse_row(j)``)."""

@@ -236,6 +236,18 @@ def active_plan() -> Optional[FaultPlan]:
     return load_plan(plan_path)
 
 
+def _fire(rule: FaultRule, message: str) -> None:
+    """Carry out a picked raise/kill/hang rule."""
+    if rule.action == "raise":
+        raise InjectedFault(message)
+    if rule.action == "kill":
+        # Abrupt death: no cleanup, no exception propagation — exactly
+        # what a segfault or the OOM killer looks like from outside.
+        os._exit(rule.exit_code)
+    if rule.action == "hang":
+        time.sleep(rule.hang_seconds)
+
+
 def maybe_inject(spec_name: str, publisher: str, seed: int) -> None:
     """Pre-publish hook: fire any matching raise/kill/hang rule.
 
@@ -246,19 +258,12 @@ def maybe_inject(spec_name: str, publisher: str, seed: int) -> None:
     if plan is None:
         return
     rule = plan.pick(spec_name, publisher, seed, ("raise", "kill", "hang"))
-    if rule is None:
-        return
-    if rule.action == "raise":
-        raise InjectedFault(
+    if rule is not None:
+        _fire(
+            rule,
             f"injected fault: spec={spec_name!r} publisher={publisher!r} "
-            f"seed={seed}"
+            f"seed={seed}",
         )
-    if rule.action == "kill":
-        # Abrupt death: no cleanup, no exception propagation — exactly
-        # what a segfault or the OOM killer looks like from outside.
-        os._exit(rule.exit_code)
-    if rule.action == "hang":
-        time.sleep(rule.hang_seconds)
 
 
 def maybe_inject_site(site: str, detail: str = "") -> None:
@@ -279,14 +284,8 @@ def maybe_inject_site(site: str, detail: str = "") -> None:
     rule = plan.pick(
         detail or site, "serve", 0, ("raise", "kill", "hang"), site=site
     )
-    if rule is None:
-        return
-    if rule.action == "raise":
-        raise InjectedFault(f"injected serve fault at {site}: {detail}")
-    if rule.action == "kill":
-        os._exit(rule.exit_code)
-    if rule.action == "hang":
-        time.sleep(rule.hang_seconds)
+    if rule is not None:
+        _fire(rule, f"injected serve fault at {site}: {detail}")
 
 
 def hit_counts(plan: "FaultPlan | str | Path | None" = None) -> Dict[int, int]:

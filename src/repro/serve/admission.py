@@ -16,7 +16,8 @@ Draining (graceful shutdown) flips the controller into
 refuse-new-admissions mode while :meth:`wait_drained` gives in-flight
 requests a bounded deadline to finish.  The controller is pure
 bookkeeping — it never touches sockets — so it is trivially testable
-without a live server.
+without a live server.  Each wait for a slot is a
+``serve.admission_wait`` span under the waiting request's root.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional
+
+from repro.obs import trace
 
 __all__ = ["AdmissionController", "AdmissionDecision"]
 
@@ -110,7 +113,8 @@ class AdmissionController:
                             False, "queue_timeout", waited_seconds=waited
                         )
                     start = time.monotonic()
-                    self._cond.wait(timeout=remaining)
+                    with trace.span("serve.admission_wait"):
+                        self._cond.wait(timeout=remaining)
                     waited += time.monotonic() - start
             finally:
                 self._queued -= 1

@@ -10,13 +10,13 @@ threads can share one artifact with no locks and no torn reads.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
 import numpy as np
 
 from repro.hist.ranges import prefix_sums
+from repro.obs.trace import Stopwatch
 from repro.serve.spec import ServeSpec
 
 __all__ = ["PublishedArtifact", "publish_artifact"]
@@ -90,9 +90,8 @@ def publish_artifact(spec: ServeSpec) -> PublishedArtifact:
     """
     publisher = spec.to_experiment_spec().publisher_factory()
     rng = np.random.default_rng(spec.seed)
-    started = time.perf_counter()
-    result = publisher.publish(spec.histogram(), spec.epsilon, rng)
-    elapsed = time.perf_counter() - started
+    with Stopwatch() as sw:
+        result = publisher.publish(spec.histogram(), spec.epsilon, rng)
     counts = result.histogram.counts
     return PublishedArtifact(
         spec=spec,
@@ -100,6 +99,6 @@ def publish_artifact(spec: ServeSpec) -> PublishedArtifact:
         counts=counts,
         prefix=prefix_sums(counts),
         epsilon_spent=float(result.epsilon_spent),
-        publish_seconds=float(elapsed),
+        publish_seconds=sw.seconds,
         meta={"publisher": getattr(publisher, "name", spec.publisher)},
     )

@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Stopwatch
 from repro.robust.records import FailedRecord
 from repro.serve.client import ServeClient
 from repro.serve.spec import ServeSpec
@@ -442,13 +443,14 @@ def _issue_one(
     """
     attempt = 0
     while True:
-        started = time.perf_counter()
         try:
-            code, payload = client.query(
-                item.tenant, [item.wire_query()], fingerprint=fingerprint,
-                idempotency_key=idempotency_key,
-            )
-            return code, payload, time.perf_counter() - started
+            with Stopwatch() as sw:
+                code, payload = client.query(
+                    item.tenant, [item.wire_query()],
+                    fingerprint=fingerprint,
+                    idempotency_key=idempotency_key,
+                )
+            return code, payload, sw.seconds
         except _TRANSPORT_ERRORS:
             attempt += 1
             if attempt > retries:
@@ -634,7 +636,6 @@ def run_replay(
         latencies: Dict[int, float] = {}
         failures: List[FailedRecord] = []
         lock = threading.Lock()
-        started_wall = time.perf_counter()
         started_monotonic = time.monotonic()
         workers = []
         for seed, (tenant_name, items) in enumerate(
@@ -659,7 +660,7 @@ def run_replay(
                 f"replay/{manifest.name}", seed,
                 {"tenant": tenant_name},
             )
-        elapsed = time.perf_counter() - started_wall
+        elapsed = time.monotonic() - started_monotonic
         obs.on_run_end(f"replay/{manifest.name}")
         try:
             server_stats = client.stats()

@@ -41,10 +41,10 @@ import json
 import signal
 import sys
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
+from repro.obs import trace
 from repro.robust import faults
 from repro.serve.admission import AdmissionController
 from repro.serve.service import QueryService, RequestError
@@ -86,7 +86,7 @@ class _Handler(BaseHTTPRequestHandler):
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
         telemetry = self.server.service.telemetry
-        with telemetry.stage("serve.serialize"):
+        with trace.span("serve.serialize"):
             body = _encode(payload)
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -102,7 +102,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_text(self, status: int, text: str,
                    content_type: str = "text/plain; version=0.0.4") -> None:
         telemetry = self.server.service.telemetry
-        with telemetry.stage("serve.serialize"):
+        with trace.span("serve.serialize"):
             body = text.encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", content_type)
@@ -226,7 +226,6 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _handle(self, method: str) -> None:
-        started = time.perf_counter()
         path = self._path()
         service = self.server.service
         telemetry = service.telemetry
@@ -240,35 +239,24 @@ class _Handler(BaseHTTPRequestHandler):
             admitted = False
             if admission is not None and path not in EXEMPT_PATHS:
                 decision = admission.try_admit()
-                if decision.waited_seconds > 0:
-                    telemetry.record_stage(
-                        "serve.admission_wait", decision.waited_seconds
-                    )
                 if not decision.admitted:
                     reason = decision.reason or "overloaded"
                     service.note_shed(reason)
                     telemetry.annotate(shed=reason)
-                    status = 503
                     try:
                         self._send_shed(reason, self.server.retry_after)
                     except BrokenPipeError:
                         return
-                    service.observe_request(
-                        endpoint, 503, time.perf_counter() - started
-                    )
+                    status = 503
                     return
                 admitted = True
             try:
                 endpoint, status = self._dispatch(method, path)
             except BrokenPipeError:  # client went away mid-response
-                status = 0
                 return
             finally:
                 if admitted:
                     admission.release()
-            service.observe_request(
-                endpoint, status, time.perf_counter() - started
-            )
         finally:
             telemetry.end_request(endpoint, status)
 

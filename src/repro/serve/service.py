@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.accounting.budget import PrivacyBudget
 from repro.exceptions import BudgetExceededError
+from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.robust import faults
 from repro.serve.artifacts import PublishedArtifact
@@ -59,16 +60,15 @@ from repro.serve.cache import ArtifactCache
 from repro.serve.ledgerlog import LedgerLog, scoped_key
 from repro.serve.spec import ServeSpec
 from repro.serve.store import ArtifactStore
-from repro.serve.telemetry import AccessLog, ServeTelemetry, SLOConfig
+from repro.serve.telemetry import (
+    SERVE_BUCKETS,
+    AccessLog,
+    ServeTelemetry,
+    SLOConfig,
+)
 from repro.serve.tenants import TenantLedgers
 
 __all__ = ["QueryService", "RequestError", "ShedError"]
-
-#: Latency buckets tuned to serving (sub-millisecond hits through
-#: seconds-scale cold publishes).
-SERVE_BUCKETS = (
-    0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0
-)
 
 
 class RequestError(Exception):
@@ -188,11 +188,6 @@ class QueryService:
         )
         self._publish_closed = publish_slots == 0
         reg = self.registry
-        self._requests = reg.counter(
-            "repro_serve_requests_total",
-            "HTTP requests handled by the query service",
-            labelnames=("endpoint", "code"),
-        )
         self._queries = reg.counter(
             "repro_serve_queries_total",
             "individual count queries, by outcome",
@@ -222,12 +217,6 @@ class QueryService:
             "repro_serve_recovered_total",
             "state recovered from disk at startup, by kind",
             labelnames=("kind",),
-        )
-        self._request_seconds = reg.histogram(
-            "repro_serve_request_seconds",
-            "request handling latency by endpoint",
-            labelnames=("endpoint",),
-            buckets=SERVE_BUCKETS,
         )
         self._publish_seconds = reg.histogram(
             "repro_serve_publish_seconds",
@@ -356,13 +345,6 @@ class QueryService:
             self._admission_draining.set(1.0 if snap["draining"] else 0.0)
         self.telemetry.refresh_gauges()
 
-    def observe_request(
-        self, endpoint: str, code: int, seconds: float
-    ) -> None:
-        """Per-request accounting (called by the transport layer)."""
-        self._requests.labels(endpoint=endpoint, code=str(code)).inc()
-        self._request_seconds.labels(endpoint=endpoint).observe(seconds)
-
     def note_shed(self, reason: str) -> None:
         """Count one shed request (also called by the admission layer)."""
         self._sheds.labels(reason=reason).inc()
@@ -471,12 +453,12 @@ class QueryService:
         caller holds the key's reservation (:meth:`_reserve_key`) and
         settles or releases it depending on how this returns.
         """
-        with self.telemetry.stage("serve.ledger_charge"):
+        with trace.span("serve.ledger_charge"):
             remaining = self.tenants.charge(
                 tenant, epsilon, purpose=purpose
             )
         if self.ledger is not None:
-            with self.telemetry.stage("serve.journal_fsync"):
+            with trace.span("serve.journal_fsync"):
                 self._journal_tenant(tenant)
                 faults.maybe_inject_site(
                     "serve.before_journal", key or purpose
@@ -522,7 +504,7 @@ class QueryService:
         if fingerprint is not None:
             if not isinstance(fingerprint, str):
                 raise RequestError(400, "fingerprint must be a string")
-            with self.telemetry.stage("serve.cache_lookup"):
+            with trace.span("serve.cache_lookup"):
                 artifact = self.cache.get(fingerprint)
                 if artifact is None:
                     artifact = self._rehydrate(fingerprint)
@@ -548,7 +530,7 @@ class QueryService:
             raise RequestError(400, f"bad spec: {exc}") from exc
         fp = spec.fingerprint()
         if fp not in self.cache and not self.cache.inflight(fp):
-            with self.telemetry.stage("serve.cache_lookup"):
+            with trace.span("serve.cache_lookup"):
                 artifact = self._rehydrate(fp)
             if artifact is not None:
                 return artifact, "store"
@@ -585,7 +567,7 @@ class QueryService:
         self, spec: ServeSpec, fingerprint: Optional[str]
     ) -> Tuple[PublishedArtifact, str]:
         try:
-            with self.telemetry.stage("serve.publish"):
+            with trace.span("serve.publish"):
                 artifact, hit, evicted = self.cache.get_or_publish(
                     spec, fingerprint,
                     before_publish=self._acquire_publish_slot,
@@ -778,7 +760,7 @@ class QueryService:
         refused = 0
         for index, (kind, lo, hi) in enumerate(parsed):
             key = f"{base_key}#{index}" if base_key else None
-            with self.telemetry.stage("serve.answer"):
+            with trace.span("serve.answer"):
                 value = artifact.range(lo, hi)
             skey = digest = None
             if key is not None:
@@ -896,8 +878,6 @@ class QueryService:
         while tracing is enabled — enable with ``--trace`` or the
         ``REPRO_TRACE`` environment variable).
         """
-        from repro.obs import trace
-
         with self._keys_lock:
             seen_keys = len(self._seen_keys)
         access_log = self.telemetry.access_log

@@ -11,13 +11,19 @@ guarantee is stated against:
   on every reply and threaded into error bodies, shed bodies, access
   log lines, and slow-request traces, so a client-side failure record
   is joinable against the server's logs.
-* **Stage attribution.**  The request lifecycle is cut into the
-  documented :data:`STAGES` vocabulary.  Each stage is timed with
-  ``time.perf_counter`` and lands twice: in the per-request access-log
-  line, and in the ``repro_serve_stage_seconds{endpoint,stage}``
-  histogram family.  When ``REPRO_TRACE`` is on, every stage also opens
-  an :mod:`repro.obs.trace` span under a per-request root capture, so
-  ``/v1/debug`` can show full span trees for the slowest requests.
+* **Stage attribution.**  Each request is timed by one
+  :mod:`repro.obs.trace` span tree.  :meth:`ServeTelemetry.begin_request`
+  opens a ``serve.request`` root that records whether tracing is on or
+  off, and the serving code wraps each region of the documented
+  :data:`STAGES` vocabulary in ``trace.span``.
+  :meth:`ServeTelemetry.end_request` reads every number off the closed
+  root: ``duration_seconds``, the access-log ``stages`` map (per name,
+  the sum of the root's direct children), the
+  ``repro_serve_stage_seconds{endpoint,stage}`` and
+  ``repro_serve_request_seconds{endpoint}`` observations,
+  ``repro_serve_requests_total`` and the SLO window.  With
+  ``REPRO_TRACE`` on, the tree is also kept for ``/v1/debug``, which
+  shows the slowest recent ones.
 * **Structured access log.**  One sorted-key JSON line per request
   (schema: :data:`ACCESS_LOG_SCHEMA`), size-rotated, write failures
   swallowed and counted — the log must never take down the serving
@@ -28,10 +34,10 @@ guarantee is stated against:
   so burn 1.0 means "exactly spending the error budget" and anything
   above it is overspend (the dashboard flags > ``6.0`` as drift).
 
-Overhead contract: with tracing disabled, a stage on the query hot
-path costs one null-span lookup, two clock reads, and a dict update —
-``tests/serve/test_telemetry.py`` guards the total below 5% of a
-served cache-hit query, mirroring the PR-4 disabled-overhead guard.
+Overhead contract: a stage on the query hot path is one live span under
+the request root (a thread-local lookup, a ``Span`` and two clock
+reads); ``tests/serve/test_telemetry.py`` guards the cost of all seven
+below 5% of a served cache-hit query.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from repro.obs.metrics import MetricsRegistry
 __all__ = [
     "ACCESS_LOG_SCHEMA",
     "AccessLog",
+    "SERVE_BUCKETS",
     "STAGES",
     "SLOConfig",
     "SLOMonitor",
@@ -57,9 +64,16 @@ __all__ = [
     "validate_access_log_line",
 ]
 
+#: Latency buckets tuned to serving (sub-millisecond hits through
+#: seconds-scale cold publishes).
+SERVE_BUCKETS = (
+    0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0
+)
+
 #: The documented stage vocabulary (docs/observability.md).  Stages are
-#: non-overlapping regions nested inside one request, so per request
-#: ``sum(stages) <= duration_seconds`` up to clock jitter.
+#: non-overlapping spans directly under one request's root, read off the
+#: same clock, so per request ``sum(stages) <= duration_seconds`` up to
+#: float-sum rounding.
 STAGES = (
     "serve.admission_wait",   # queued for an admission slot
     "serve.cache_lookup",     # artifact cache probe + store rehydrate
@@ -384,64 +398,25 @@ class SLOMonitor:
 # ---------------------------------------------------------------------------
 
 class _RequestContext:
+    """One request's annotations and its open ``serve.request`` root."""
+
     __slots__ = (
-        "request_id", "method", "path", "t0", "stages", "tenant",
-        "shed", "degraded", "replayed", "capture_cm", "root",
+        "request_id", "method", "path", "tenant", "shed", "degraded",
+        "replayed", "root_cm", "root",
     )
 
     def __init__(self, request_id: str, method: str, path: str) -> None:
         self.request_id = request_id
         self.method = method
         self.path = path
-        self.t0 = time.perf_counter()
-        self.stages: Dict[str, float] = {}
         self.tenant: Optional[str] = None
         self.shed: Optional[str] = None
         self.degraded = False
         self.replayed = False
-        self.capture_cm = None
-        self.root = None
-
-
-class _NullStage:
-    """Shared no-op stage (no request context, tracing off)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-_NULL_STAGE = _NullStage()
-
-
-class _StageContext:
-    """Times one stage; accumulates into the active request context."""
-
-    __slots__ = ("_telemetry", "_name", "_span", "_t0")
-
-    def __init__(self, telemetry: "ServeTelemetry", name: str) -> None:
-        self._telemetry = telemetry
-        self._name = name
-
-    def __enter__(self) -> None:
-        self._span = trace.span(self._name)
-        self._span.__enter__()
-        self._t0 = time.perf_counter()
-        return None
-
-    def __exit__(self, *exc: Any) -> bool:
-        elapsed = time.perf_counter() - self._t0
-        self._span.__exit__(*exc)
-        ctx = getattr(self._telemetry._local, "ctx", None)
-        if ctx is not None:
-            ctx.stages[self._name] = (
-                ctx.stages.get(self._name, 0.0) + elapsed
-            )
-        return False
+        self.root_cm = trace.root(
+            "serve.request", request_id=request_id, method=method, path=path
+        )
+        self.root = self.root_cm.__enter__()
 
 
 class ServeTelemetry:
@@ -449,11 +424,10 @@ class ServeTelemetry:
 
     One instance per :class:`~repro.serve.service.QueryService`.  The
     transport opens a request with :meth:`begin_request` and closes it
-    with :meth:`end_request` (in a ``finally``); the service layer
-    wraps its hot-path regions in :meth:`stage` and annotates
-    request-scoped facts with :meth:`annotate`.  All state is
-    thread-local per request, so concurrent handler threads never
-    share a context.
+    with :meth:`end_request` (in a ``finally``); the serving code wraps
+    its stage regions in ``trace.span`` and annotates request-scoped
+    facts with :meth:`annotate`.  All state is thread-local per request,
+    so concurrent handler threads never share a context.
     """
 
     def __init__(
@@ -480,8 +454,17 @@ class ServeTelemetry:
         self._recent: Deque[Dict[str, Any]] = deque(
             maxlen=max(1, int(recent_traces))
         )
-        from repro.serve.service import SERVE_BUCKETS
-
+        self._requests = registry.counter(
+            "repro_serve_requests_total",
+            "HTTP requests handled by the query service",
+            labelnames=("endpoint", "code"),
+        )
+        self._request_seconds = registry.histogram(
+            "repro_serve_request_seconds",
+            "request handling latency by endpoint",
+            labelnames=("endpoint",),
+            buckets=SERVE_BUCKETS,
+        )
         self._stage_seconds = registry.histogram(
             "repro_serve_stage_seconds",
             "per-stage request latency attribution "
@@ -520,42 +503,17 @@ class ServeTelemetry:
         """Open the per-thread request context; returns the request id.
 
         A falsy/absent client ``X-Request-Id`` gets a minted UUID hex.
-        With tracing enabled, a root span capture is installed so every
-        :meth:`stage` also records into a span tree.
+        The context's ``serve.request`` root is this request's clock.
         """
         rid = request_id.strip() if isinstance(request_id, str) else ""
         if not rid:
             rid = uuid.uuid4().hex
-        ctx = _RequestContext(rid, method, path)
-        if trace.enabled():
-            ctx.capture_cm = trace.capture(
-                "serve.request", request_id=rid, method=method, path=path
-            )
-            ctx.root = ctx.capture_cm.__enter__()
-        self._local.ctx = ctx
+        self._local.ctx = _RequestContext(rid, method, path)
         return rid
 
     def current_request_id(self) -> Optional[str]:
         ctx = getattr(self._local, "ctx", None)
         return ctx.request_id if ctx is not None else None
-
-    def stage(self, name: str):
-        """Time one stage of the active request (near-free off-path).
-
-        Without an active request context *and* with tracing disabled
-        (direct service calls in unit tests) this returns a shared
-        no-op so the library path stays unobserved and cheap.
-        """
-        if getattr(self._local, "ctx", None) is None \
-                and not trace.enabled():
-            return _NULL_STAGE
-        return _StageContext(self, name)
-
-    def record_stage(self, name: str, seconds: float) -> None:
-        """Attribute externally-measured time (admission queue waits)."""
-        ctx = getattr(self._local, "ctx", None)
-        if ctx is not None and seconds > 0:
-            ctx.stages[name] = ctx.stages.get(name, 0.0) + float(seconds)
 
     def annotate(
         self,
@@ -578,15 +536,28 @@ class ServeTelemetry:
             ctx.replayed = bool(replayed)
 
     def end_request(self, endpoint: str, code: int) -> None:
-        """Close the context: histograms, SLO window, log line, ring."""
+        """Close the request's root and read every number off it.
+
+        ``code`` 0 means no reply was written (the client left): such a
+        request is logged and enters the SLO window, but stays out of
+        ``repro_serve_requests_total`` and the request histogram.
+        """
         ctx = getattr(self._local, "ctx", None)
         if ctx is None:
             return
         self._local.ctx = None
-        duration = time.perf_counter() - ctx.t0
-        if ctx.capture_cm is not None:
-            ctx.capture_cm.__exit__(None, None, None)
-        for stage, seconds in ctx.stages.items():
+        ctx.root_cm.__exit__(None, None, None)
+        root = ctx.root
+        duration = root.seconds
+        # The request is observed before its stages, so a scrape in
+        # between still sees stage seconds <= request seconds.
+        if code:
+            self._requests.labels(endpoint=endpoint, code=str(code)).inc()
+            self._request_seconds.labels(endpoint=endpoint).observe(duration)
+        stages: Dict[str, float] = {}
+        for child in root.children:
+            stages[child.name] = stages.get(child.name, 0.0) + child.seconds
+        for stage, seconds in stages.items():
             self._stage_seconds.labels(
                 endpoint=endpoint, stage=stage
             ).observe(seconds)
@@ -602,17 +573,17 @@ class ServeTelemetry:
                 "replayed": ctx.replayed,
                 "request_id": ctx.request_id,
                 "shed": ctx.shed,
-                "stages": dict(ctx.stages),
+                "stages": stages,
                 "tenant": ctx.tenant,
                 "ts": time.time(),
             })
-        if ctx.root is not None:
-            tree = ctx.root.to_dict()
+        if trace.enabled():
+            tree = root.to_dict()
             entry = {
                 "request_id": ctx.request_id,
                 "endpoint": endpoint,
                 "code": int(code),
-                "seconds": float(ctx.root.seconds),
+                "seconds": duration,
                 "unattributed_seconds": trace.self_seconds(tree),
                 "trace": tree,
             }
@@ -624,7 +595,7 @@ class ServeTelemetry:
         """The slowest-N recent traced requests (``Span.to_dict`` form).
 
         Empty unless tracing was enabled for some requests — the ring
-        only holds requests that carried a root span.
+        only keeps trees of requests that ended while it was on.
         """
         limit = self.slow_traces if n is None else int(n)
         with self._ring_lock:

@@ -64,6 +64,17 @@ class TestKernelEquivalence:
         assert np.array_equal(opt_ref, opt_dc)
         assert np.array_equal(ch_ref, ch_dc)
 
+    def test_dc_certified_where_prefix_differences_round(self):
+        # 16 + 1e-12 - 1e-12 rounds below 16: a certificate read off
+        # prefix-sum differences refused these sorted counts.
+        counts = np.array([1e-12, 16.0, 16.0])
+        assert PrefixSSECost(counts).monge_certified
+        for k in (1, 2, 3):
+            opt_ref, ch_ref = _tables(counts, k, "reference")
+            opt_dc, ch_dc = _tables(counts, k, "exact_dc")
+            assert np.array_equal(opt_ref, opt_dc)
+            assert np.array_equal(ch_ref, ch_dc)
+
     @given(counts_and_k())
     @settings(max_examples=40, deadline=None)
     def test_dc_on_unsorted_falls_back_exact(self, case):

@@ -188,9 +188,9 @@ class TestMetricsExposition:
     def test_stage_sums_bounded_by_request_seconds(self):
         """Attribution consistency at the histogram level.
 
-        Stages are non-overlapping regions inside requests, so total
-        stage seconds can never exceed total request seconds (modulo
-        the documented 5% jitter tolerance).
+        Stages are non-overlapping spans inside each request's root,
+        read off the same clock, so total stage seconds can exceed total
+        request seconds only by float-sum rounding.
         """
         with ServerProcess() as server:
             code, published = server.client.publish(
@@ -210,4 +210,4 @@ class TestMetricsExposition:
                 v for k, v in samples.items()
                 if k.startswith("repro_serve_request_seconds_sum")
             )
-            assert stage_sum <= request_sum * 1.05
+            assert stage_sum <= request_sum * (1.0 + 1e-9)

@@ -7,20 +7,24 @@ structured access log (schema validation, sorted keys, rotation,
 crash-proof writes), SLO burn-rate math under an injected clock, the
 ``/v1/debug`` introspection endpoint, and the two hard guarantees:
 traced and untraced servers produce byte-identical success bodies, and
-disabled telemetry stays under 5% of a served cache-hit query
-(mirroring the PR-4 disabled-overhead guard).
+the stage spans every request runs stay under 5% of a served cache-hit
+query.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import best_of
+from repro.serve import server as server_module
+from repro.serve.admission import AdmissionController
 from repro.serve.client import ServeClient
 from repro.serve.server import make_server
 from repro.serve.service import QueryService
@@ -36,9 +40,10 @@ from repro.serve.telemetry import (
 
 from tests.serve.conftest import tiny_spec
 
-#: Documented tolerance: stages are non-overlapping nested regions, so
-#: their sum may exceed the end-to-end duration only by clock jitter.
-STAGE_SUM_TOLERANCE = 1.05
+#: Stages are non-overlapping spans inside the request's root, read off
+#: the same clock, so their sum may exceed the end-to-end duration only
+#: by float-sum rounding.
+STAGE_SUM_TOLERANCE = 1.0 + 1e-9
 
 
 @pytest.fixture
@@ -95,8 +100,6 @@ def wait_for_log(path, predicate, timeout=5.0):
     The log line is written after the response goes out, so a client
     that just got its answer can beat the server to the file.
     """
-    import time
-
     deadline = time.monotonic() + timeout
     while True:
         lines = read_log_lines(path) if path.exists() else []
@@ -340,24 +343,29 @@ class TestServeTelemetry:
         telemetry = self.make(access_log=tmp_path / "a.log")
         telemetry.begin_request("POST", "/v1/query", "r1")
         for _ in range(3):
-            with telemetry.stage("serve.answer"):
+            with trace.span("serve.answer"):
                 pass
-        telemetry.record_stage("serve.admission_wait", 0.25)
+        with trace.span("serve.admission_wait"):
+            time.sleep(0.01)
         telemetry.annotate(tenant="alpha")
         telemetry.end_request("query", 200)
         line = read_log_lines(tmp_path / "a.log")[0]
         assert validate_access_log_line(line) == []
-        assert line["stages"]["serve.admission_wait"] == 0.25
+        assert set(line["stages"]) == {
+            "serve.answer", "serve.admission_wait",
+        }
+        assert line["stages"]["serve.admission_wait"] >= 0.01
+        assert sum(line["stages"].values()) <= line["duration_seconds"]
         assert line["tenant"] == "alpha"
         family = telemetry.registry.get("repro_serve_stage_seconds")
         child = family.labels(endpoint="query", stage="serve.answer")
         assert child.count == 1  # one observation per request, not 3
+        requests = telemetry.registry.get("repro_serve_request_seconds")
+        assert requests.labels(endpoint="query").count == 1
 
     def test_stage_without_request_is_shared_noop(self, untraced):
-        telemetry = self.make()
-        assert telemetry.stage("serve.answer") is telemetry.stage(
-            "serve.publish"
-        )
+        self.make()  # a telemetry alone opens no root
+        assert trace.span("serve.answer") is trace.span("serve.publish")
 
     def test_annotate_without_request_is_noop(self, untraced):
         self.make().annotate(tenant="ghost")  # must not raise
@@ -375,7 +383,7 @@ class TestServeTelemetry:
         telemetry = self.make(slow_traces=2)
         for i in range(4):
             telemetry.begin_request("POST", "/v1/query", f"r{i}")
-            with telemetry.stage("serve.answer"):
+            with trace.span("serve.answer"):
                 pass
             telemetry.end_request("query", 200)
         slowest = telemetry.slowest()
@@ -502,6 +510,87 @@ class TestWirePath:
             ), line
             assert set(line["stages"]) <= set(STAGES)
 
+    def test_access_log_reads_the_debug_tree(
+        self, traced, telemetry_server
+    ):
+        """One clock: the log line and the ring entry are one tree."""
+        _server, client, log_path = telemetry_server
+        code, published = client.publish(tiny_spec().to_payload())
+        assert code == 200
+        code, _payload = client.query(
+            "alpha", [{"bin": 1}, {"lo": 0, "hi": 8}],
+            fingerprint=published["fingerprint"], request_id="one-clock",
+        )
+        assert code == 200
+        lines = wait_for_log(
+            log_path,
+            lambda ls: any(l["request_id"] == "one-clock" for l in ls),
+        )
+        by_id = {line["request_id"]: line for line in lines}
+        # The ring entry lands just after the log line; poll for it.
+        deadline = time.monotonic() + 5.0
+        while True:
+            _status, debug, _headers = client._request_once(
+                "GET", "/v1/debug"
+            )
+            ring = {
+                entry["request_id"]: entry
+                for entry in debug["slowest_requests"]
+            }
+            if "one-clock" in ring or time.monotonic() > deadline:
+                break
+            time.sleep(0.02)
+        entry = ring["one-clock"]
+        line = by_id["one-clock"]
+        assert line["duration_seconds"] == entry["seconds"]
+        assert entry["seconds"] == entry["trace"]["seconds"]
+        names = {child["name"] for child in entry["trace"]["children"]}
+        assert set(line["stages"]) == names
+        for name, seconds in line["stages"].items():
+            assert seconds == sum(
+                child["seconds"] for child in entry["trace"]["children"]
+                if child["name"] == name
+            ), name
+        answers = [
+            child for child in entry["trace"]["children"]
+            if child["name"] == "serve.answer"
+        ]
+        assert len(answers) == 2  # two queries, one summed stage
+
+    def test_request_whose_client_left_is_not_counted(
+        self, telemetry_server, monkeypatch
+    ):
+        server, client, log_path = telemetry_server
+
+        def client_gone(_payload):
+            raise BrokenPipeError("client went away")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(server_module, "_encode", client_gone)
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5.0
+            ) as sock:
+                sock.sendall(
+                    b"GET /v1/stats HTTP/1.1\r\nHost: test\r\n"
+                    b"Connection: close\r\n\r\n"
+                )
+                assert sock.recv(1024) == b""  # no reply was written
+            lines = wait_for_log(
+                log_path,
+                lambda ls: any(l["endpoint"] == "stats" for l in ls),
+            )
+        line = next(l for l in lines if l["endpoint"] == "stats")
+        assert line["code"] == 0
+        assert set(line["stages"]) == {"serve.serialize"}
+        text = client.metrics_text()
+        counted = [
+            row for row in text.splitlines()
+            if row.startswith(("repro_serve_requests_total",
+                               "repro_serve_request_seconds"))
+            and 'endpoint="stats"' in row
+        ]
+        assert counted == []
+
     def test_replayed_flag_lands_in_access_log(self, telemetry_server):
         _server, client, log_path = telemetry_server
         code, published = client.publish(tiny_spec().to_payload())
@@ -625,14 +714,148 @@ class TestTracedIdentity:
         assert stage_names <= set(STAGES)
 
 
+class TestRequestAccounting:
+    """Per-request metric observations for a mix of outcomes.
+
+    200, 429, 404 and both admission sheds (queue full, queue timeout),
+    one request at a time: each log line is written after its metrics,
+    so waiting for N lines orders every step after the one before.
+    """
+
+    def test_observation_counts_pinned(self, untraced, tmp_path):
+        log_path = tmp_path / "access.log"
+        admission = AdmissionController(
+            max_inflight=1, max_queue=1, queue_timeout=5.0
+        )
+        service = QueryService(
+            cache_entries=4, default_tenant_budget=1.0,
+            access_log=log_path,
+        )
+        server = make_server("127.0.0.1", 0, service, admission=admission)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05},
+            daemon=True,
+        )
+        thread.start()
+        client = ServeClient(server.url, max_retries=0)
+
+        def settle(count):
+            wait_for_log(log_path, lambda ls: len(ls) >= count)
+
+        try:
+            code, published = client.publish(tiny_spec().to_payload())
+            assert code == 200
+            fingerprint = published["fingerprint"]
+            settle(1)
+
+            def ask():
+                return client.query(
+                    "alpha", [{"bin": 1}], fingerprint=fingerprint
+                )[0]
+
+            assert ask() == 200
+            settle(2)
+            # Hold the one slot: the next request queues, a second one
+            # finds the queue full; releasing admits the queued one.
+            assert admission.try_admit().admitted
+            queued = {}
+            waiter = threading.Thread(
+                target=lambda: queued.setdefault("code", ask())
+            )
+            waiter.start()
+            deadline = time.monotonic() + 5.0
+            while admission.snapshot()["queued"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert ask() == 503  # queue_full
+            settle(3)
+            admission.release()
+            waiter.join(timeout=5.0)
+            assert queued["code"] == 200
+            settle(4)
+            assert ask() == 429  # alpha's two answers are spent
+            settle(5)
+            assert client.query(
+                "alpha", [{"bin": 1}], fingerprint="f" * 64
+            )[0] == 404
+            settle(6)
+            assert admission.try_admit().admitted
+            admission.queue_timeout = 0.05
+            assert ask() == 503  # queue_timeout
+            settle(7)
+            admission.release()
+            lines = read_log_lines(log_path)
+            text = client.metrics_text()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
+
+        stage_keys = [
+            (line["code"], line["shed"], sorted(line["stages"]))
+            for line in lines
+        ]
+        answered = [
+            "serve.answer", "serve.cache_lookup", "serve.ledger_charge",
+            "serve.serialize",
+        ]
+        assert stage_keys == [
+            (200, None, ["serve.publish", "serve.serialize"]),
+            (200, None, answered),
+            (503, "queue_full", ["serve.serialize"]),
+            (200, None, ["serve.admission_wait"] + answered),
+            (429, None, answered),
+            (404, None, ["serve.cache_lookup", "serve.serialize"]),
+            (503, "queue_timeout",
+             ["serve.admission_wait", "serve.serialize"]),
+        ]
+        samples = {}
+        for row in text.splitlines():
+            if row.startswith((
+                "repro_serve_requests_total",
+                "repro_serve_request_seconds_count",
+                "repro_serve_stage_seconds_count",
+                "repro_serve_shed_total",
+            )):
+                series, value = row.rsplit(" ", 1)
+                samples[series] = float(value)
+        assert samples == {
+            'repro_serve_requests_total{endpoint="publish",code="200"}': 1,
+            'repro_serve_requests_total{endpoint="query",code="200"}': 2,
+            'repro_serve_requests_total{endpoint="query",code="404"}': 1,
+            'repro_serve_requests_total{endpoint="query",code="429"}': 1,
+            'repro_serve_requests_total{endpoint="query",code="503"}': 2,
+            'repro_serve_request_seconds_count{endpoint="publish"}': 1,
+            'repro_serve_request_seconds_count{endpoint="query"}': 6,
+            'repro_serve_stage_seconds_count'
+            '{endpoint="publish",stage="serve.publish"}': 1,
+            'repro_serve_stage_seconds_count'
+            '{endpoint="publish",stage="serve.serialize"}': 1,
+            'repro_serve_stage_seconds_count'
+            '{endpoint="query",stage="serve.admission_wait"}': 2,
+            'repro_serve_stage_seconds_count'
+            '{endpoint="query",stage="serve.answer"}': 3,
+            'repro_serve_stage_seconds_count'
+            '{endpoint="query",stage="serve.cache_lookup"}': 4,
+            'repro_serve_stage_seconds_count'
+            '{endpoint="query",stage="serve.ledger_charge"}': 3,
+            'repro_serve_stage_seconds_count'
+            '{endpoint="query",stage="serve.serialize"}': 6,
+            'repro_serve_shed_total{reason="queue_full"}': 1,
+            'repro_serve_shed_total{reason="queue_timeout"}': 1,
+        }
+
+
 class TestTelemetryOverhead:
     def test_disabled_stage_overhead_under_five_percent(
         self, untraced, telemetry_server
     ):
-        """Mirror of the PR-4 guard, scoped to the serving hot path.
+        """Stage spans under a live request root, tracing off.
 
-        Budget: all documented stages at the disabled per-stage cost
-        must stay under 5% of one served cache-hit query round trip.
+        Every served request opens a root, so its stages are live spans
+        even with tracing off.  Budget: all documented stages at that
+        per-stage cost (closing the root included) must stay under 5%
+        of one served cache-hit query round trip.
         """
         _server, client, _log = telemetry_server
         code, published = client.publish(tiny_spec().to_payload())
@@ -647,17 +870,21 @@ class TestTelemetryOverhead:
         one_query()  # warm: artifact cached, tenant registered
         query_seconds = best_of(one_query, 5)
 
-        service = _server.service
+        telemetry = _server.service.telemetry
         calls = 2000
 
         def spam_stages():
-            for _ in range(calls):
-                with service.telemetry.stage("serve.answer"):
-                    pass
+            telemetry.begin_request("POST", "/v1/query", "overhead")
+            try:
+                for _ in range(calls):
+                    with trace.span("serve.answer"):
+                        pass
+            finally:
+                telemetry.end_request("query", 200)
 
         per_stage = best_of(spam_stages, 5) / calls
         overhead = per_stage * len(STAGES)
         assert overhead < 0.05 * query_seconds, (
-            f"disabled stage overhead {overhead:.3e}s vs cache-hit "
+            f"stage overhead {overhead:.3e}s vs cache-hit "
             f"query {query_seconds:.3e}s"
         )
