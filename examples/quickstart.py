@@ -27,4 +27,4 @@ print("private count of bins 30-39:",
 
 # 5. The ledger documents every budget spend for auditing.
 for record in result.accountant.ledger:
-    print(f"ledger: spent {record.budget} on {record.purpose!r}")
+    print(f"ledger: spent eps={record.epsilon:g} on {record.purpose!r}")

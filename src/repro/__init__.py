@@ -34,7 +34,7 @@ from repro import (
     verify,
     workloads,
 )
-from repro.accounting import Accountant, PrivacyBudget
+from repro.accounting import Accountant
 from repro.baselines import (
     Ahp,
     Boost,
@@ -74,7 +74,6 @@ __all__ = [
     "workloads",
     # core types
     "Accountant",
-    "PrivacyBudget",
     "Publisher",
     "PublishResult",
     "NoiseFirst",

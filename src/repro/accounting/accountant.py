@@ -1,7 +1,7 @@
 """The :class:`Accountant`: enforced budget withdrawal.
 
-An accountant is created with a total :class:`PrivacyBudget` and hands
-out spends until the budget is exhausted, raising
+An accountant is created with a total ε and hands out spends until the
+budget is exhausted, raising
 :class:`~repro.exceptions.BudgetExceededError` on overdraft.  Publishers
 receive an accountant rather than a raw epsilon so their composition is
 checked, not merely asserted in a docstring.
@@ -10,49 +10,45 @@ checked, not merely asserted in a docstring.
 from __future__ import annotations
 
 import threading
+from typing import Optional
 
-from repro.accounting.budget import EPS_TOL, PrivacyBudget
+from repro._validation import check_non_negative
 from repro.accounting.ledger import Ledger, SpendRecord
 from repro.exceptions import BudgetExceededError
 
-__all__ = ["Accountant"]
+__all__ = ["EPS_TOL", "Accountant"]
+
+# Tolerance for floating-point budget comparisons.  Splitting epsilon into
+# k parts and re-summing must not spuriously trip the overspend check.
+EPS_TOL = 1e-9
 
 
 class Accountant:
-    """Tracks and enforces spends against a fixed total budget.
+    """Tracks and enforces ε spends against a fixed total.
 
-    The overdraft check and the ledger append are atomic under an
-    internal lock, so concurrent spenders (e.g. the query service's
-    per-request handler threads debiting one tenant) can never race two
-    debits past the total: sequential composition holds even when the
-    spends themselves are issued in parallel.
+    The overdraft check, the ledger append and the read of what remains
+    are atomic under an internal lock, so concurrent spenders (e.g. the
+    query service's per-request handler threads debiting one tenant)
+    can never race two debits past the total: sequential composition
+    holds even when the spends themselves are issued in parallel.
 
     Example
     -------
-    >>> acc = Accountant(PrivacyBudget(1.0))
-    >>> acc.spend(PrivacyBudget(0.4), purpose="structure")
-    >>> acc.spent.epsilon
-    0.4
-    >>> acc.remaining.epsilon
+    >>> acc = Accountant(1.0)
+    >>> acc.spend(0.4, purpose="structure")
     0.6
+    >>> acc.spent
+    0.4
     """
 
-    def __init__(self, total: "PrivacyBudget | float") -> None:
-        if isinstance(total, (int, float)) and not isinstance(total, bool):
-            total = PrivacyBudget(float(total))
-        if not isinstance(total, PrivacyBudget):
-            raise TypeError(
-                "total must be a PrivacyBudget or a number, "
-                f"got {type(total).__name__}"
-            )
-        self._total = total
+    def __init__(self, total: float) -> None:
+        self._total = check_non_negative(total, "total")
         self._ledger = Ledger()
-        # Reentrant so spend_all can hold it across remaining + spend.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     @property
-    def total(self) -> PrivacyBudget:
-        """The budget this accountant was created with."""
+    def total(self) -> float:
+        """The ε this accountant was created with."""
         return self._total
 
     @property
@@ -61,60 +57,41 @@ class Accountant:
         return self._ledger
 
     @property
-    def spent(self) -> PrivacyBudget:
-        """Composed budget spent so far."""
-        return self._ledger.total()
+    def spent(self) -> float:
+        """Composed ε spent so far."""
+        with self._lock:
+            return self._ledger.total()
 
     @property
-    def remaining(self) -> PrivacyBudget:
-        """Budget still available (never negative)."""
-        spent = self.spent
-        return PrivacyBudget(
-            max(self._total.epsilon - spent.epsilon, 0.0),
-            max(self._total.delta - spent.delta, 0.0),
-        )
+    def remaining(self) -> float:
+        """ε still available (never negative)."""
+        with self._lock:
+            return max(self._total - self._ledger.total(), 0.0)
 
     def spend(
         self,
-        budget: "PrivacyBudget | float",
+        epsilon: float,
         purpose: str,
-        parallel_group: "str | None" = None,
-    ) -> PrivacyBudget:
-        """Withdraw ``budget``; raise :class:`BudgetExceededError` on overdraft.
+        parallel_group: Optional[str] = None,
+    ) -> float:
+        """Withdraw ``epsilon``; raise :class:`BudgetExceededError` on overdraft.
 
-        Returns the budget actually recorded, so callers can chain.
+        Returns the ε that remains after this spend, read under the same
+        lock as the check, so no other spend can land in between.
         """
-        if isinstance(budget, (int, float)) and not isinstance(budget, bool):
-            budget = PrivacyBudget(float(budget))
-        if not isinstance(budget, PrivacyBudget):
-            raise TypeError(
-                f"budget must be a PrivacyBudget or number, got {type(budget).__name__}"
-            )
+        epsilon = check_non_negative(epsilon, "epsilon")
         with self._lock:
-            candidate = Ledger(list(self._ledger.records))
-            candidate.append(SpendRecord(budget, purpose, parallel_group))
-            projected = candidate.total()
-            if (
-                projected.epsilon > self._total.epsilon + EPS_TOL
-                or projected.delta > self._total.delta + EPS_TOL
-            ):
+            projected = self._ledger.total_with(epsilon, parallel_group)
+            if projected > self._total + EPS_TOL:
                 raise BudgetExceededError(
-                    requested=budget.epsilon,
-                    remaining=self.remaining.epsilon,
+                    requested=epsilon,
+                    remaining=max(self._total - self._ledger.total(), 0.0),
                 )
-            self._ledger.append(SpendRecord(budget, purpose, parallel_group))
-        return budget
-
-    def spend_all(self, purpose: str) -> PrivacyBudget:
-        """Withdraw everything that remains, in one spend."""
-        with self._lock:
-            remaining = self.remaining
-            if remaining.epsilon <= 0 and remaining.delta <= 0:
-                raise BudgetExceededError(requested=0.0, remaining=0.0)
-            return self.spend(remaining, purpose)
+            self._ledger.append(SpendRecord(epsilon, purpose, parallel_group))
+            return max(self._total - projected, 0.0)
 
     def __repr__(self) -> str:
         return (
-            f"Accountant(total={self._total}, spent={self.spent}, "
+            f"Accountant(total={self._total:g}, spent={self.spent:g}, "
             f"records={len(self._ledger)})"
         )

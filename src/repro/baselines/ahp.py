@@ -94,8 +94,8 @@ class Ahp(Publisher):
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, Dict[str, Any]]:
         n = histogram.size
-        eps1 = accountant.total.epsilon * self.scaffold_fraction
-        eps2 = accountant.total.epsilon - eps1
+        eps1 = accountant.total * self.scaffold_fraction
+        eps2 = accountant.total - eps1
 
         accountant.spend(eps1, purpose="scaffold-noise")
         with span("noise.scaffold", n=n):

@@ -128,7 +128,7 @@ class Boost(Publisher):
 
         levels = build_tree_sums(counts, b)
         height = len(levels)
-        eps_level = accountant.total.epsilon / height
+        eps_level = accountant.total / height
         noisy_levels: List[np.ndarray] = []
         with span("noise.tree", height=height, branching=b):
             for i, level in enumerate(levels):

@@ -99,7 +99,7 @@ class DawaLite(Publisher):
             partition = Partition.single_bucket(n)
             eps1 = 0.0
         else:
-            eps1 = accountant.total.epsilon * self.partition_fraction
+            eps1 = accountant.total * self.partition_fraction
             accountant.spend(eps1, purpose="em-partition")
             with span("partition.em", n=n, k=k):
                 alpha = eps1 / 2.0  # SAE sensitivity is exactly 1
@@ -112,7 +112,7 @@ class DawaLite(Publisher):
                     cost_factory=LazySAECost,  # O(n) cost state
                 )
 
-        eps2 = accountant.remaining.epsilon
+        eps2 = accountant.remaining
         sums = partition.bucket_sums(histogram.counts)
 
         # Stage 2: hierarchical measurement of the bucket sums.  Nodes in

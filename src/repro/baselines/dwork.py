@@ -37,7 +37,7 @@ class DworkIdentity(Publisher):
         accountant: Accountant,
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, Dict[str, Any]]:
-        epsilon = accountant.total.epsilon
+        epsilon = accountant.total
         accountant.spend(accountant.total, purpose="laplace-noise-per-bin")
         mech = LaplaceMechanism(sensitivity=self.sensitivity)
         noisy = mech.release(histogram.counts, epsilon, rng=rng)

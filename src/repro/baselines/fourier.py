@@ -58,7 +58,7 @@ class FourierPublisher(Publisher):
     ) -> Tuple[np.ndarray, Dict[str, Any]]:
         counts = histogram.counts
         n = histogram.size
-        eps_total = accountant.total.epsilon
+        eps_total = accountant.total
         eps_select = eps_total * self.select_fraction
         eps_noise = eps_total - eps_select
 

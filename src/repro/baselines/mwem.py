@@ -83,7 +83,7 @@ class Mwem(Publisher):
 
         true_answers = workload.evaluate(histogram)
         synthetic = np.full(n, total / n, dtype=np.float64)
-        eps_round = accountant.total.epsilon / self.rounds
+        eps_round = accountant.total / self.rounds
         eps_select = eps_round / 2.0
         eps_measure = eps_round / 2.0
 

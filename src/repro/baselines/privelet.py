@@ -101,7 +101,7 @@ class Privelet(Publisher):
         counts = np.zeros(m, dtype=np.float64)
         counts[:n] = histogram.counts
 
-        epsilon = accountant.total.epsilon
+        epsilon = accountant.total
         accountant.spend(accountant.total, purpose="wavelet-coefficients")
 
         with span("transform.haar", m=m):

@@ -31,7 +31,7 @@ class UniformFlat(Publisher):
         accountant: Accountant,
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, Dict[str, Any]]:
-        epsilon = accountant.total.epsilon
+        epsilon = accountant.total
         accountant.spend(accountant.total, purpose="laplace-noise-total")
         noisy_total = histogram.total + float(laplace_noise(epsilon, rng=rng)[0])
         published = np.full(histogram.size, noisy_total / histogram.size)

@@ -83,7 +83,7 @@ class RangeEngine:
     def _noise_variance(self, query: RangeQuery) -> Optional[float]:
         """Noise variance of a range sum, reconstructed from metadata."""
         meta = self._result.meta
-        epsilon = self._result.accountant.total.epsilon
+        epsilon = self._result.accountant.total
         partition = meta.get("partition")
 
         if "eps_noise" in meta and isinstance(partition, Partition):

@@ -83,7 +83,7 @@ class NoiseFirst(Publisher):
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, Dict[str, Any]]:
         n = histogram.size
-        epsilon = accountant.total.epsilon
+        epsilon = accountant.total
         accountant.spend(accountant.total, purpose="laplace-noise-per-bin")
 
         mech = LaplaceMechanism(sensitivity=self.sensitivity)

@@ -1,10 +1,11 @@
 """The :class:`Publisher` interface every algorithm implements.
 
 A publisher turns a true :class:`~repro.hist.Histogram` plus a privacy
-budget into a sanitized histogram.  The base class owns the boilerplate —
-budget coercion, accountant creation, rng coercion, post-release audit
-that the spend matches the grant — so each algorithm only implements
-``_publish``.
+budget ε into a sanitized histogram.  The base class owns the
+boilerplate — budget check, accountant creation, rng coercion,
+post-release audit that the spend stays within the grant — so each
+algorithm only implements ``_publish``.  :func:`audited_publish` is that
+boilerplate, shared with the 2-D publishers of :mod:`repro.spatial`.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from typing import Any, Dict, Tuple
 
 import numpy as np
 
-from repro._validation import as_rng
-from repro.accounting.accountant import Accountant
-from repro.accounting.budget import EPS_TOL, PrivacyBudget
+from repro._validation import as_rng, check_positive
+from repro.accounting.accountant import EPS_TOL, Accountant
 from repro.exceptions import ReproError
 from repro.hist.histogram import Histogram
 
-__all__ = ["PublishResult", "Publisher"]
+__all__ = ["PublishResult", "Publisher", "audited_publish"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,38 @@ class PublishResult:
     @property
     def epsilon_spent(self) -> float:
         """Composed epsilon actually spent, from the ledger."""
-        return self.accountant.spent.epsilon
+        return self.accountant.spent
+
+
+def audited_publish(
+    publisher: Any,
+    histogram: Any,
+    budget: float,
+    rng: "np.random.Generator | int | None",
+) -> Tuple[np.ndarray, Accountant, Dict[str, Any]]:
+    """Run ``publisher._publish`` on a fresh accountant and audit it.
+
+    Checks that ``budget`` is a finite ε > 0, hands the algorithm an
+    accountant for it and a generator from ``rng``, then checks that the
+    counts it returns match ``histogram``'s shape and that its ledger
+    stays within ``budget``.  Returns ``(counts, accountant, meta)``.
+    """
+    epsilon = check_positive(budget, "budget")
+    accountant = Accountant(epsilon)
+    counts, meta = publisher._publish(histogram, accountant, as_rng(rng))
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.shape != histogram.counts.shape:
+        raise ReproError(
+            f"{publisher.name}: published {counts.shape} counts for a "
+            f"{histogram.counts.shape} histogram"
+        )
+    spent = accountant.spent
+    if spent > epsilon + EPS_TOL:
+        raise ReproError(
+            f"{publisher.name}: ledger shows overspend "
+            f"({spent:g} > {epsilon:g})"
+        )
+    return counts, accountant, meta
 
 
 class Publisher(abc.ABC):
@@ -59,7 +90,7 @@ class Publisher(abc.ABC):
     def publish(
         self,
         histogram: Histogram,
-        budget: "PrivacyBudget | float",
+        budget: float,
         rng: "np.random.Generator | int | None" = None,
     ) -> PublishResult:
         """Publish a sanitized version of ``histogram`` under ``budget``.
@@ -69,8 +100,7 @@ class Publisher(abc.ABC):
         histogram:
             The true histogram (never mutated).
         budget:
-            Total privacy budget, as a :class:`PrivacyBudget` or a plain
-            epsilon.
+            Total privacy budget ε (> 0).
         rng:
             Numpy generator / int seed / None.
 
@@ -83,27 +113,7 @@ class Publisher(abc.ABC):
             raise TypeError(
                 f"histogram must be a Histogram, got {type(histogram).__name__}"
             )
-        if isinstance(budget, (int, float)) and not isinstance(budget, bool):
-            budget = PrivacyBudget(float(budget))
-        if budget.epsilon <= 0:
-            raise ValueError(f"budget epsilon must be > 0, got {budget.epsilon}")
-        accountant = Accountant(budget)
-        generator = as_rng(rng)
-
-        counts, meta = self._publish(histogram, accountant, generator)
-
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.shape != histogram.counts.shape:
-            raise ReproError(
-                f"{self.name}: published {counts.shape} counts for a "
-                f"{histogram.counts.shape} histogram"
-            )
-        spent = accountant.spent
-        if spent.epsilon > budget.epsilon + EPS_TOL:
-            raise ReproError(
-                f"{self.name}: ledger shows overspend "
-                f"({spent.epsilon:g} > {budget.epsilon:g})"
-            )
+        counts, accountant, meta = audited_publish(self, histogram, budget, rng)
         sanitized = Histogram(domain=histogram.domain, counts=counts)
         return PublishResult(histogram=sanitized, accountant=accountant, meta=meta)
 

@@ -163,12 +163,12 @@ class StructureFirst(Publisher):
             partition, _sse = voptimal_partition(histogram.counts, k)
             eps_structure = 0.0
         else:
-            eps_structure = accountant.total.epsilon * self.structure_fraction
+            eps_structure = accountant.total * self.structure_fraction
             with span("partition.em", n=n, k=k, score=self.score):
                 partition = self._sample_structure(
                     histogram.counts, k, eps_structure, accountant, rng
                 )
-        eps_noise = accountant.remaining.epsilon
+        eps_noise = accountant.remaining
         accountant.spend(eps_noise, purpose="laplace-noise-bucket-sums")
 
         with span("noise.bucket-sums", k=partition.k):

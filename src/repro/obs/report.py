@@ -178,7 +178,6 @@ def _failure_taxonomy(failures: List[Any]) -> List[str]:
 
 def _epsilon_ledger(records: List[Any]) -> List[str]:
     """Per-cell ε spend, composed through ``repro.accounting``."""
-    from repro.accounting.budget import PrivacyBudget
     from repro.accounting.ledger import Ledger, SpendRecord
 
     lines = ["## ε-ledger", ""]
@@ -196,15 +195,12 @@ def _epsilon_ledger(records: List[Any]) -> List[str]:
         n = cells[(spec_name, publisher, eps)]
         ledger = Ledger()
         for _ in range(n):
-            spend = SpendRecord(
-                budget=PrivacyBudget(eps),
-                purpose=f"{spec_name} trial",
-            )
+            spend = SpendRecord(epsilon=eps, purpose=f"{spec_name} trial")
             ledger.append(spend)
             grand.append(spend)
         rows.append((
             spec_name, publisher, f"{eps:g}", n,
-            f"{ledger.total().epsilon:g}",
+            f"{ledger.total():g}",
         ))
     lines.extend(md_table(
         ["spec", "publisher", "ε per trial", "trials ok",
@@ -214,7 +210,7 @@ def _epsilon_ledger(records: List[Any]) -> List[str]:
     lines.append("")
     lines.append(
         f"Grand total across every journaled trial (sequential "
-        f"composition): **ε = {grand.total().epsilon:g}**.  Each trial "
+        f"composition): **ε = {grand.total():g}**.  Each trial "
         "re-queries the same dataset, so spends compose sequentially; "
         "see `docs/privacy.md` for the composition rules."
     )

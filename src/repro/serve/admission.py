@@ -39,8 +39,6 @@ class AdmissionDecision:
     admitted: bool
     #: Shed reason when not admitted: queue_full | queue_timeout | draining.
     reason: Optional[str] = None
-    #: Seconds the request waited for a slot (0.0 for immediate grants).
-    waited_seconds: float = 0.0
 
 
 class AdmissionController:
@@ -97,21 +95,15 @@ class AdmissionController:
                 while True:
                     if self._draining:
                         self._shed["draining"] += 1
-                        return AdmissionDecision(
-                            False, "draining", waited_seconds=waited
-                        )
+                        return AdmissionDecision(False, "draining")
                     if self._inflight < self.max_inflight:
                         self._inflight += 1
                         self._admitted += 1
-                        return AdmissionDecision(
-                            True, waited_seconds=waited
-                        )
+                        return AdmissionDecision(True)
                     remaining = deadline_wait - waited
                     if remaining <= 0:
                         self._shed["queue_timeout"] += 1
-                        return AdmissionDecision(
-                            False, "queue_timeout", waited_seconds=waited
-                        )
+                        return AdmissionDecision(False, "queue_timeout")
                     start = time.monotonic()
                     with trace.span("serve.admission_wait"):
                         self._cond.wait(timeout=remaining)

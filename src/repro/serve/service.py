@@ -50,10 +50,9 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.accounting.budget import PrivacyBudget
 from repro.exceptions import BudgetExceededError
 from repro.obs import trace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricFamily, MetricsRegistry
 from repro.robust import faults
 from repro.serve.artifacts import PublishedArtifact
 from repro.serve.cache import ArtifactCache
@@ -173,10 +172,6 @@ class QueryService:
         self._journaled_tenants: Set[str] = set()
         self._keys_lock = threading.Lock()
         self._keys_cond = threading.Condition(self._keys_lock)
-        self._resilience_lock = threading.Lock()
-        self._shed_totals: Dict[str, int] = {}
-        self._degraded_totals: Dict[str, int] = {}
-        self._recovered_totals: Dict[str, int] = {}
         if publish_slots is not None and publish_slots < 0:
             raise ValueError(
                 f"publish_slots must be >= 0, got {publish_slots}"
@@ -264,10 +259,6 @@ class QueryService:
         if count <= 0:
             return
         self._recovered.labels(kind=kind).inc(count)
-        with self._resilience_lock:
-            self._recovered_totals[kind] = (
-                self._recovered_totals.get(kind, 0) + count
-            )
 
     def _recover(self) -> None:
         """Replay the ledger + scan the store into fresh in-memory state.
@@ -297,7 +288,7 @@ class QueryService:
             self._journaled_tenants.add(debit.tenant)
             try:
                 accountant.spend(
-                    PrivacyBudget(debit.epsilon),
+                    debit.epsilon,
                     purpose=f"recovered/{debit.purpose or 'debit'}",
                 )
             except BudgetExceededError:
@@ -348,15 +339,9 @@ class QueryService:
     def note_shed(self, reason: str) -> None:
         """Count one shed request (also called by the admission layer)."""
         self._sheds.labels(reason=reason).inc()
-        with self._resilience_lock:
-            self._shed_totals[reason] = self._shed_totals.get(reason, 0) + 1
 
     def _note_degraded(self, source: str) -> None:
         self._degraded.labels(source=source).inc()
-        with self._resilience_lock:
-            self._degraded_totals[source] = (
-                self._degraded_totals.get(source, 0) + 1
-            )
 
     def _journal_tenant(self, name: str) -> None:
         """Durably record a tenant's budget the first time it matters."""
@@ -368,7 +353,7 @@ class QueryService:
             self._journaled_tenants.add(name)
         accountant = self.tenants.accountant(name)
         budget = (
-            accountant.total.epsilon if accountant is not None
+            accountant.total if accountant is not None
             else self.tenants.default_budget
         )
         self.ledger.append_tenant(name, budget)
@@ -708,8 +693,8 @@ class QueryService:
         self._journal_tenant(name)
         return 200, {
             "tenant": name,
-            "budget": accountant.total.epsilon,
-            "remaining": accountant.remaining.epsilon,
+            "budget": accountant.total,
+            "remaining": accountant.remaining,
         }
 
     def query(
@@ -838,11 +823,15 @@ class QueryService:
         return status, response
 
     def resilience(self) -> Dict[str, Any]:
-        """Durability/overload counters for ``/v1/stats`` and drills."""
-        with self._resilience_lock:
-            sheds = dict(self._shed_totals)
-            degraded = dict(self._degraded_totals)
-            recovered = dict(self._recovered_totals)
+        """Durability/overload counters for ``/v1/stats`` and drills.
+
+        The shed, degraded and recovered counts are read off their
+        ``/metrics`` counter families, keyed by the family's one label.
+        """
+        def counts(family: MetricFamily) -> Dict[str, int]:
+            return {key: int(child.value)
+                    for (key,), child in family.children()}
+
         with self._keys_lock:
             seen_keys = len(self._seen_keys)
         return {
@@ -851,9 +840,9 @@ class QueryService:
             "seen_keys": seen_keys,
             "ledger_appends": self.ledger.appends if self.ledger else 0,
             "store": self.store.stats() if self.store else {},
-            "shed": sheds,
-            "degraded": degraded,
-            "recovered": recovered,
+            "shed": counts(self._sheds),
+            "degraded": counts(self._degraded),
+            "recovered": counts(self._recovered),
         }
 
     def stats(self) -> Tuple[int, Dict[str, Any]]:

@@ -6,7 +6,9 @@ query (see docs/serving.md for the worst-case accounting rationale);
 an overdraft raises :class:`~repro.exceptions.BudgetExceededError`,
 which the HTTP layer maps to a 429-style refusal.  The accountant
 itself is thread-safe (check-and-append is atomic), so concurrent
-requests can never double-spend a tenant past its ε.
+requests can never double-spend a tenant past its ε.  A charge adds to
+the accountant's running total, so its cost does not grow with the
+tenant's ledger.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional
 
-from repro.accounting.accountant import Accountant
-from repro.accounting.budget import EPS_TOL, PrivacyBudget
+from repro.accounting.accountant import EPS_TOL, Accountant
 
 __all__ = ["TenantLedgers"]
 
@@ -56,15 +57,15 @@ class TenantLedgers:
             existing = self._accountants.get(name)
             if existing is not None:
                 if budget is not None and abs(
-                    existing.total.epsilon - total
+                    existing.total - total
                 ) > EPS_TOL:
                     raise ValueError(
                         f"tenant {name!r} already registered with budget "
-                        f"eps={existing.total.epsilon:g}; cannot change "
+                        f"eps={existing.total:g}; cannot change "
                         f"to eps={total:g}"
                     )
                 return existing
-            accountant = Accountant(PrivacyBudget(total))
+            accountant = Accountant(total)
             self._accountants[name] = accountant
             self._queries[name] = 0
             return accountant
@@ -74,13 +75,14 @@ class TenantLedgers:
 
         Unregistered tenants are auto-registered at the default budget
         (the open-enrollment mode the replay driver relies on).
-        Returns the tenant's remaining ε after the debit.
+        Returns the tenant's remaining ε right after this debit, as the
+        accountant read it under the lock that made the debit.
         """
         accountant = self.register(name)
-        accountant.spend(PrivacyBudget(float(epsilon)), purpose=purpose)
+        remaining = accountant.spend(epsilon, purpose=purpose)
         with self._lock:
             self._queries[name] = self._queries.get(name, 0) + 1
-        return accountant.remaining.epsilon
+        return remaining
 
     def accountant(self, name: str) -> Optional[Accountant]:
         """The tenant's accountant, or ``None`` if never seen."""
@@ -95,9 +97,9 @@ class TenantLedgers:
             for name in names:
                 acc = self._accountants[name]
                 out[name] = {
-                    "budget": acc.total.epsilon,
-                    "spent": acc.spent.epsilon,
-                    "remaining": acc.remaining.epsilon,
+                    "budget": acc.total,
+                    "spent": acc.spent,
+                    "remaining": acc.remaining,
                     "queries": self._queries.get(name, 0),
                     "spends": len(acc.ledger),
                 }

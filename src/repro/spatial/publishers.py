@@ -15,10 +15,9 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro._validation import as_rng, check_integer
+from repro._validation import check_integer
 from repro.accounting.accountant import Accountant
-from repro.accounting.budget import EPS_TOL, PrivacyBudget
-from repro.exceptions import ReproError
+from repro.core.publisher import audited_publish
 from repro.mechanisms.laplace import laplace_noise
 from repro.spatial.histogram2d import Histogram2D
 
@@ -43,7 +42,7 @@ class PublishResult2D:
     @property
     def epsilon_spent(self) -> float:
         """Composed epsilon actually spent, from the ledger."""
-        return self.accountant.spent.epsilon
+        return self.accountant.spent
 
 
 class Publisher2D(abc.ABC):
@@ -54,7 +53,7 @@ class Publisher2D(abc.ABC):
     def publish(
         self,
         histogram: Histogram2D,
-        budget: "PrivacyBudget | float",
+        budget: float,
         rng: "np.random.Generator | int | None" = None,
     ) -> PublishResult2D:
         """Publish a sanitized version of ``histogram`` under ``budget``."""
@@ -62,21 +61,7 @@ class Publisher2D(abc.ABC):
             raise TypeError(
                 f"histogram must be a Histogram2D, got {type(histogram).__name__}"
             )
-        if isinstance(budget, (int, float)) and not isinstance(budget, bool):
-            budget = PrivacyBudget(float(budget))
-        if budget.epsilon <= 0:
-            raise ValueError(f"budget epsilon must be > 0, got {budget.epsilon}")
-        accountant = Accountant(budget)
-        generator = as_rng(rng)
-        counts, meta = self._publish(histogram, accountant, generator)
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.shape != histogram.counts.shape:
-            raise ReproError(
-                f"{self.name}: published shape {counts.shape} for a "
-                f"{histogram.counts.shape} histogram"
-            )
-        if accountant.spent.epsilon > budget.epsilon + EPS_TOL:
-            raise ReproError(f"{self.name}: ledger shows overspend")
+        counts, accountant, meta = audited_publish(self, histogram, budget, rng)
         return PublishResult2D(
             histogram=histogram.with_counts(counts),
             accountant=accountant,
@@ -99,7 +84,7 @@ class Identity2D(Publisher2D):
     name = "identity2d"
 
     def _publish(self, histogram, accountant, rng):
-        epsilon = accountant.total.epsilon
+        epsilon = accountant.total
         accountant.spend(accountant.total, purpose="laplace-noise-per-cell")
         noise = laplace_noise(epsilon, size=histogram.shape, rng=rng)
         return histogram.counts + noise, {}
@@ -134,7 +119,7 @@ class UniformGrid(Publisher2D):
 
     def _publish(self, histogram, accountant, rng):
         rows, cols = histogram.shape
-        epsilon = accountant.total.epsilon
+        epsilon = accountant.total
         m = self.m if self.m is not None else _grid_side(
             histogram.total, epsilon, self.c
         )
@@ -181,7 +166,7 @@ class AdaptiveGrid(Publisher2D):
 
     def _publish(self, histogram, accountant, rng):
         rows, cols = histogram.shape
-        eps_total = accountant.total.epsilon
+        eps_total = accountant.total
         eps1 = eps_total * self.alpha
         eps2 = eps_total - eps1
 
@@ -243,7 +228,7 @@ class QuadTree(Publisher2D):
 
     def _publish(self, histogram, accountant, rng):
         rows, cols = histogram.shape
-        eps_level = accountant.total.epsilon / self.depth
+        eps_level = accountant.total / self.depth
         out = np.zeros((rows, cols), dtype=np.float64)
 
         # Iterative breadth-first split; regions as (r0, r1, c0, c1, est).

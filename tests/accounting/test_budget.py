@@ -1,109 +1,81 @@
-"""Tests for PrivacyBudget arithmetic."""
+"""Tests for ε budgets as plain floats: validation, composition by float
+arithmetic, and the rounding tolerance of the overdraft check."""
+
+import math
 
 import pytest
 
-from repro.accounting.budget import PrivacyBudget
+from repro.accounting.accountant import EPS_TOL, Accountant
+from repro.exceptions import BudgetExceededError
 
 
 class TestConstruction:
     def test_pure_budget(self):
-        b = PrivacyBudget(1.0)
-        assert b.epsilon == 1.0
-        assert b.delta == 0.0
-        assert b.is_pure
-
-    def test_approximate_budget(self):
-        b = PrivacyBudget(1.0, 1e-6)
-        assert not b.is_pure
+        acc = Accountant(1)
+        assert type(acc.total) is float and acc.total == 1.0
+        assert type(acc.spent) is float and type(acc.remaining) is float
 
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
-            PrivacyBudget(-0.1)
-
-    def test_rejects_delta_above_one(self):
+            Accountant(-0.1)
         with pytest.raises(ValueError):
-            PrivacyBudget(1.0, 1.5)
+            Accountant(1.0).spend(-0.1, "x")
+
+    def test_rejects_non_finite_epsilon(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Accountant(bad)
+            with pytest.raises(ValueError):
+                Accountant(1.0).spend(bad, "x")
 
     def test_zero_budget_allowed(self):
-        assert PrivacyBudget(0.0).epsilon == 0.0
+        acc = Accountant(0.0)
+        assert acc.total == 0.0
+        assert acc.spend(0.0, "free") == 0.0
 
 
 class TestArithmetic:
     def test_addition_composes(self):
-        total = PrivacyBudget(0.3, 1e-7) + PrivacyBudget(0.2, 1e-7)
-        assert total.epsilon == pytest.approx(0.5)
-        assert total.delta == pytest.approx(2e-7)
+        acc = Accountant(1.0)
+        acc.spend(0.3, "a")
+        acc.spend(0.2, "b")
+        assert acc.spent == 0.3 + 0.2
 
     def test_subtraction(self):
-        rem = PrivacyBudget(1.0) - PrivacyBudget(0.4)
-        assert rem.epsilon == pytest.approx(0.6)
+        acc = Accountant(1.0)
+        acc.spend(0.4, "a")
+        assert acc.remaining == 1.0 - 0.4
 
     def test_subtraction_clamps_float_dust(self):
-        parts = PrivacyBudget(1.0).split(3)
-        rem = PrivacyBudget(1.0)
-        for p in parts:
-            rem = rem - p
-        assert rem.epsilon == pytest.approx(0.0, abs=1e-12)
+        # 0.1 + 0.2 rounds to just above 0.3: remaining is 0, not -5e-17.
+        acc = Accountant(0.3)
+        acc.spend(0.1, "a")
+        assert acc.spend(0.2, "b") == 0.0
+        assert acc.spent > acc.total
+        assert acc.remaining == 0.0
 
     def test_subtraction_rejects_overdraft(self):
-        with pytest.raises(ValueError):
-            PrivacyBudget(0.5) - PrivacyBudget(1.0)
-
-    def test_multiplication(self):
-        half = PrivacyBudget(1.0, 1e-6) * 0.5
-        assert half.epsilon == 0.5
-        assert half.delta == 5e-7
-
-    def test_rmul(self):
-        assert (0.5 * PrivacyBudget(1.0)).epsilon == 0.5
+        acc = Accountant(0.5)
+        with pytest.raises(BudgetExceededError) as info:
+            acc.spend(1.0, "x")
+        assert info.value.requested == 1.0
+        assert info.value.remaining == 0.5
 
 
 class TestCovers:
     def test_covers_smaller(self):
-        assert PrivacyBudget(1.0).covers(PrivacyBudget(0.5))
+        assert Accountant(1.0).spend(0.5, "x") == 0.5
 
     def test_does_not_cover_larger(self):
-        assert not PrivacyBudget(0.5).covers(PrivacyBudget(1.0))
+        acc = Accountant(0.5)
+        acc.spend(0.5 + EPS_TOL / 2, "within tolerance")
+        with pytest.raises(BudgetExceededError):
+            Accountant(0.5).spend(0.5 + 2 * EPS_TOL, "past tolerance")
 
     def test_covers_equal_with_tolerance(self):
-        parts = PrivacyBudget(1.0).split(7)
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        assert PrivacyBudget(1.0).covers(total)
-
-
-class TestSplit:
-    def test_equal_split_sums_back(self):
-        parts = PrivacyBudget(1.0).split(4)
-        assert len(parts) == 4
-        assert sum(p.epsilon for p in parts) == pytest.approx(1.0)
-
-    def test_weighted_split(self):
-        parts = PrivacyBudget(1.0).split([1.0, 3.0])
-        assert parts[0].epsilon == pytest.approx(0.25)
-        assert parts[1].epsilon == pytest.approx(0.75)
-
-    def test_rejects_zero_shares(self):
-        with pytest.raises(ValueError):
-            PrivacyBudget(1.0).split(0)
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            PrivacyBudget(1.0).split([1.0, -1.0])
-
-    def test_rejects_empty_weight_list(self):
-        with pytest.raises(ValueError):
-            PrivacyBudget(1.0).split([])
-
-    def test_rejects_bool(self):
-        with pytest.raises(TypeError):
-            PrivacyBudget(1.0).split(True)
-
-
-class TestStr:
-    def test_pure_str(self):
-        assert str(PrivacyBudget(0.5)) == "eps=0.5"
-
-    def test_approx_str(self):
-        assert "delta" in str(PrivacyBudget(0.5, 1e-6))
+        # Nine slices of 1/9 sum to just above 1.0; all nine are covered.
+        acc = Accountant(1.0)
+        for _ in range(9):
+            acc.spend(1.0 / 9, "slice")
+        assert acc.spent > 1.0
+        assert acc.spent == pytest.approx(1.0)

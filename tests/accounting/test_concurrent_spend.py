@@ -14,8 +14,7 @@ import threading
 
 import pytest
 
-from repro.accounting.accountant import Accountant
-from repro.accounting.budget import EPS_TOL, PrivacyBudget
+from repro.accounting.accountant import EPS_TOL, Accountant
 from repro.exceptions import BudgetExceededError
 
 
@@ -30,9 +29,7 @@ def race_spends(accountant, epsilon, n_threads, per_thread):
         barrier.wait()
         for _ in range(per_thread):
             try:
-                accountant.spend(
-                    PrivacyBudget(epsilon), purpose="concurrent"
-                )
+                accountant.spend(epsilon, purpose="concurrent")
                 with lock:
                     ok += 1
             except BudgetExceededError:
@@ -50,18 +47,18 @@ def race_spends(accountant, epsilon, n_threads, per_thread):
 class TestConcurrentSpend:
     def test_no_overdraft_under_contention(self):
         """16 threads racing 0.1-ε spends against ε=1.0: exactly 10 win."""
-        accountant = Accountant(PrivacyBudget(1.0))
+        accountant = Accountant(1.0)
         ok, refused = race_spends(
             accountant, 0.1, n_threads=16, per_thread=4
         )
         assert ok == 10
         assert refused == 16 * 4 - 10
-        assert accountant.spent.epsilon <= 1.0 + EPS_TOL
+        assert accountant.spent <= 1.0 + EPS_TOL
         assert len(accountant.ledger) == 10
 
     def test_ledger_never_composes_past_total(self):
         """Uneven spend sizes still cannot exceed the budget."""
-        accountant = Accountant(PrivacyBudget(2.0))
+        accountant = Accountant(2.0)
         sizes = [0.7, 0.5, 0.3, 0.2, 0.9, 0.4, 0.6, 0.1]
         barrier = threading.Barrier(len(sizes))
         errors = []
@@ -70,7 +67,7 @@ class TestConcurrentSpend:
         def worker(size):
             barrier.wait()
             try:
-                accountant.spend(PrivacyBudget(size), purpose="mixed")
+                accountant.spend(size, purpose="mixed")
             except BudgetExceededError:
                 pass
             except Exception as exc:  # noqa: BLE001
@@ -85,52 +82,13 @@ class TestConcurrentSpend:
         for t in threads:
             t.join(timeout=60.0)
         assert not errors
-        assert accountant.spent.epsilon <= 2.0 + EPS_TOL
-
-    def test_spend_all_races_leave_no_double_drain(self):
-        """Concurrent spend_all calls: one wins, the rest see exhaustion."""
-        accountant = Accountant(PrivacyBudget(1.0))
-        n_threads = 8
-        outcomes = []
-        lock = threading.Lock()
-        barrier = threading.Barrier(n_threads)
-
-        def worker():
-            barrier.wait()
-            try:
-                accountant.spend_all(purpose="drain")
-                with lock:
-                    outcomes.append("ok")
-            except BudgetExceededError:
-                with lock:
-                    outcomes.append("refused")
-
-        threads = [
-            threading.Thread(target=worker) for _ in range(n_threads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-        assert outcomes.count("ok") == 1
-        assert outcomes.count("refused") == n_threads - 1
-        assert accountant.spent.epsilon == pytest.approx(1.0)
-        assert accountant.remaining.epsilon == 0.0
+        assert accountant.spent <= 2.0 + EPS_TOL
 
     def test_sequential_behavior_unchanged(self):
         """The lock is invisible to single-threaded callers."""
-        accountant = Accountant(PrivacyBudget(1.0))
-        accountant.spend(PrivacyBudget(0.4), purpose="a")
-        accountant.spend(PrivacyBudget(0.6), purpose="b")
+        accountant = Accountant(1.0)
+        accountant.spend(0.4, purpose="a")
+        accountant.spend(0.6, purpose="b")
         with pytest.raises(BudgetExceededError):
-            accountant.spend(PrivacyBudget(0.1), purpose="c")
-        assert accountant.remaining.epsilon == pytest.approx(0.0)
-
-    def test_reentrant_spend_all_holds_one_lock(self):
-        """spend_all's remaining-read + spend is atomic (RLock reentry)."""
-        accountant = Accountant(PrivacyBudget(3.0))
-        accountant.spend(PrivacyBudget(1.0), purpose="setup")
-        spent = accountant.spend_all(purpose="rest")
-        assert spent.epsilon == pytest.approx(2.0)
-        with pytest.raises(BudgetExceededError):
-            accountant.spend_all(purpose="again")
+            accountant.spend(0.1, purpose="c")
+        assert accountant.remaining == pytest.approx(0.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.accounting.accountant import Accountant
-from repro.accounting.budget import PrivacyBudget
 from repro.core.publisher import Publisher, PublishResult
 from repro.exceptions import ReproError
 from repro.hist.histogram import Histogram
@@ -16,7 +15,7 @@ class _SpendHalf(Publisher):
     name = "spend-half"
 
     def _publish(self, histogram, accountant, rng):
-        accountant.spend(accountant.total.epsilon / 2, "half")
+        accountant.spend(accountant.total / 2, "half")
         return histogram.counts.copy(), {"note": "ok"}
 
 
@@ -26,7 +25,7 @@ class _Overspender(Publisher):
     def _publish(self, histogram, accountant, rng):
         # Spends through the accountant correctly, so the accountant
         # itself raises on overdraft.
-        accountant.spend(accountant.total.epsilon * 2, "too much")
+        accountant.spend(accountant.total * 2, "too much")
         return histogram.counts.copy(), {}
 
 
@@ -45,11 +44,7 @@ class TestPublishContract:
 
     def test_budget_accepts_float(self, small_hist):
         result = _SpendHalf().publish(small_hist, budget=0.5, rng=0)
-        assert result.accountant.total.epsilon == 0.5
-
-    def test_budget_accepts_privacy_budget(self, small_hist):
-        result = _SpendHalf().publish(small_hist, PrivacyBudget(0.5), rng=0)
-        assert result.accountant.total.epsilon == 0.5
+        assert result.accountant.total == 0.5
 
     def test_epsilon_spent_reflects_ledger(self, small_hist):
         result = _SpendHalf().publish(small_hist, budget=1.0, rng=0)
@@ -66,6 +61,11 @@ class TestPublishContract:
     def test_rejects_zero_budget(self, small_hist):
         with pytest.raises(ValueError):
             _SpendHalf().publish(small_hist, budget=0.0)
+
+    def test_rejects_non_numeric_budget(self, small_hist):
+        for bad in ("0.5", True, None):
+            with pytest.raises(TypeError):
+                _SpendHalf().publish(small_hist, budget=bad)
 
     def test_overspend_raises(self, small_hist):
         from repro.exceptions import BudgetExceededError

@@ -48,8 +48,12 @@ def test_ledger_never_empty(factory, medium_hist):
 
 @pytest.mark.parametrize("factory", ALL_PUBLISHERS)
 def test_no_delta_spent_by_pure_dp_publishers(factory, medium_hist):
+    """Every spend is a plain ε: the ledger has no slot for a δ."""
     result = factory().publish(medium_hist, budget=0.5, rng=0)
-    assert result.accountant.spent.delta == 0.0
+    assert type(result.accountant.spent) is float
+    for record in result.accountant.ledger:
+        assert type(record.epsilon) is float
+        assert set(vars(record)) == {"epsilon", "purpose", "parallel_group"}
 
 
 def test_structure_first_split_respects_fraction(medium_hist):

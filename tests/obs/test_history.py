@@ -476,7 +476,7 @@ class TestUtilityIngestion:
 
         class MisScaledDwork(DworkIdentity):
             def _publish(self, histogram, accountant, rng):
-                epsilon = accountant.total.epsilon
+                epsilon = accountant.total
                 accountant.spend(accountant.total, purpose="laplace")
                 noisy = histogram.counts + rng.laplace(
                     0.0, 2.0 / epsilon, histogram.size

@@ -1,11 +1,10 @@
-"""Property-based tests for privacy-budget arithmetic and accounting."""
+"""Property-based tests for plain-ε budget composition and accounting."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.accounting.accountant import Accountant
-from repro.accounting.budget import PrivacyBudget
 from repro.exceptions import BudgetExceededError
 
 eps_strategy = st.floats(min_value=1e-6, max_value=100.0,
@@ -15,36 +14,26 @@ eps_strategy = st.floats(min_value=1e-6, max_value=100.0,
 class TestBudgetAlgebra:
     @given(eps_strategy, eps_strategy)
     def test_addition_commutative(self, a, b):
-        x = PrivacyBudget(a) + PrivacyBudget(b)
-        y = PrivacyBudget(b) + PrivacyBudget(a)
-        assert x.epsilon == pytest.approx(y.epsilon)
-
-    @given(eps_strategy, st.integers(min_value=1, max_value=50))
-    def test_split_sums_back(self, eps, shares):
-        parts = PrivacyBudget(eps).split(shares)
-        assert sum(p.epsilon for p in parts) == pytest.approx(eps, rel=1e-9)
-
-    @given(eps_strategy, st.lists(st.floats(min_value=0.01, max_value=10.0),
-                                  min_size=1, max_size=10))
-    def test_weighted_split_proportional(self, eps, weights):
-        parts = PrivacyBudget(eps).split(weights)
-        total_w = sum(weights)
-        for part, w in zip(parts, weights):
-            assert part.epsilon == pytest.approx(eps * w / total_w, rel=1e-9)
+        x, y = Accountant(a + b), Accountant(a + b)
+        x.spend(a, "first")
+        x.spend(b, "second")
+        y.spend(b, "first")
+        y.spend(a, "second")
+        assert x.spent == y.spent
 
     @given(eps_strategy)
     def test_covers_is_reflexive(self, eps):
-        b = PrivacyBudget(eps)
-        assert b.covers(b)
+        acc = Accountant(eps)
+        assert acc.spend(eps, "all") == 0.0
 
 
 class TestAccountantProperties:
     @given(eps_strategy, st.integers(min_value=1, max_value=30))
     def test_split_spends_exactly_exhaust(self, eps, n_spends):
         acc = Accountant(eps)
-        for part in PrivacyBudget(eps).split(n_spends):
-            acc.spend(part, "slice")
-        assert acc.spent.epsilon == pytest.approx(eps, rel=1e-9)
+        for _ in range(n_spends):
+            acc.spend(eps / n_spends, "slice")
+        assert acc.spent == pytest.approx(eps, rel=1e-9)
         # Any further spend must fail.
         with pytest.raises(BudgetExceededError):
             acc.spend(eps * 0.01 + 1e-6, "extra")
@@ -56,7 +45,7 @@ class TestAccountantProperties:
             acc.spend(request_eps, "x")
         except BudgetExceededError:
             pass
-        assert acc.spent.epsilon <= total + 1e-9
+        assert acc.spent <= total + 1e-9
 
     @given(st.lists(eps_strategy, min_size=1, max_size=10))
     def test_remaining_plus_spent_equals_total(self, spends):
@@ -64,6 +53,6 @@ class TestAccountantProperties:
         acc = Accountant(total)
         for s in spends:
             acc.spend(s, "x")
-        assert acc.spent.epsilon + acc.remaining.epsilon == pytest.approx(
+        assert acc.spent + acc.remaining == pytest.approx(
             total, rel=1e-9
         )

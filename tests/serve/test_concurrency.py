@@ -76,7 +76,7 @@ class TestBudgetUnderContention:
         # The ledger shows exactly one debit per answered query.
         acc = server.service.tenants.accountant("contested")
         assert len(acc.ledger) == quota
-        assert acc.spent.epsilon == pytest.approx(quota * epsilon)
+        assert acc.spent == pytest.approx(quota * epsilon)
         # And the HTTP codes agree with the per-query statuses.
         for code, status in results:
             assert code == (200 if status == "ok" else 429)

@@ -152,7 +152,7 @@ class TestQuery:
             })
         # Validation failed, so nothing was charged for query #0 either.
         assert service.tenants.accountant("t") is None or (
-            service.tenants.accountant("t").spent.epsilon == 0.0
+            service.tenants.accountant("t").spent == 0.0
         )
 
 
@@ -177,7 +177,7 @@ class TestBudgets:
             "queries": [{"bin": 0}, {"bin": 1}],
         })
         acc = service.tenants.accountant("t")
-        assert acc.spent.epsilon == pytest.approx(1.0)  # 2 × 0.5
+        assert acc.spent == pytest.approx(1.0)  # 2 × 0.5
         assert len(acc.ledger) == 2
 
     def test_refused_query_spends_nothing(self, service):
@@ -189,7 +189,7 @@ class TestBudgets:
         })
         assert status == 429
         acc = service.tenants.accountant("capped")
-        assert acc.spent.epsilon == pytest.approx(0.5)
+        assert acc.spent == pytest.approx(0.5)
 
     def test_remaining_decreases_monotonically(self, service):
         fp = publish(service)["fingerprint"]
@@ -216,14 +216,14 @@ class TestIdempotency:
                 "queries": [{"bin": 1}, {"lo": 0, "hi": 8}]}
         status, first = service.query(dict(body), idempotency_key="req-1")
         assert status == 200
-        spent = service.tenants.accountant("t").spent.epsilon
+        spent = service.tenants.accountant("t").spent
         status, second = service.query(dict(body), idempotency_key="req-1")
         assert status == 200
         assert all(r["replayed"] for r in second["results"])
         assert [r["value"] for r in second["results"]] == [
             r["value"] for r in first["results"]
         ]
-        assert service.tenants.accountant("t").spent.epsilon == spent
+        assert service.tenants.accountant("t").spent == spent
 
     def test_key_reuse_with_different_bounds_is_409(self, service):
         """A paid key cannot harvest fresh answers for other queries."""
@@ -232,7 +232,7 @@ class TestIdempotency:
             {"tenant": "t", "fingerprint": fp, "queries": [{"bin": 1}]},
             idempotency_key="req-1",
         )
-        spent = service.tenants.accountant("t").spent.epsilon
+        spent = service.tenants.accountant("t").spent
         with pytest.raises(RequestError) as exc_info:
             service.query(
                 {"tenant": "t", "fingerprint": fp,
@@ -240,7 +240,7 @@ class TestIdempotency:
                 idempotency_key="req-1",
             )
         assert exc_info.value.status == 409
-        assert service.tenants.accountant("t").spent.epsilon == spent
+        assert service.tenants.accountant("t").spent == spent
 
     def test_key_reuse_with_different_artifact_is_409(self, service):
         fp = publish(service)["fingerprint"]
@@ -269,9 +269,9 @@ class TestIdempotency:
         )
         assert status == 200
         assert not any(r.get("replayed") for r in payload["results"])
-        assert service.tenants.accountant("a").spent.epsilon == \
+        assert service.tenants.accountant("a").spent == \
             pytest.approx(0.5)
-        assert service.tenants.accountant("b").spent.epsilon == \
+        assert service.tenants.accountant("b").spent == \
             pytest.approx(0.5)
 
     def test_concurrent_same_key_charges_exactly_once(self, service):
@@ -315,7 +315,7 @@ class TestIdempotency:
         ]
         assert len(fresh) == 1  # exactly one charge won the race
         acc = service.tenants.accountant("t")
-        assert acc.spent.epsilon == pytest.approx(0.5)
+        assert acc.spent == pytest.approx(0.5)
         assert len(acc.ledger) == 1
 
     def test_failed_charge_releases_the_key_for_retry(self, service):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.exceptions import BudgetExceededError
@@ -12,11 +15,11 @@ class TestRegistration:
     def test_register_creates_accountant(self):
         ledgers = TenantLedgers(default_budget=5.0)
         acc = ledgers.register("alpha", 2.0)
-        assert acc.total.epsilon == 2.0
+        assert acc.total == 2.0
 
     def test_register_without_budget_uses_default(self):
         ledgers = TenantLedgers(default_budget=5.0)
-        assert ledgers.register("alpha").total.epsilon == 5.0
+        assert ledgers.register("alpha").total == 5.0
 
     def test_reregister_same_budget_is_idempotent(self):
         ledgers = TenantLedgers()
@@ -57,7 +60,7 @@ class TestCharging:
         with pytest.raises(BudgetExceededError):
             ledgers.charge("alpha", 0.6, purpose="q")
         acc = ledgers.accountant("alpha")
-        assert acc.spent.epsilon == pytest.approx(0.6)
+        assert acc.spent == pytest.approx(0.6)
         assert len(acc.ledger) == 1
 
     def test_quota_is_floor_budget_over_epsilon(self):
@@ -93,3 +96,35 @@ class TestCharging:
         assert ledgers.charge("beta", 1.0, purpose="q") == pytest.approx(
             0.0
         )
+
+    def test_concurrent_charges_each_report_their_own_remaining(self):
+        """8 threads × 32 charges of 0.25 against 64 ε: the 256 replies
+        carry exactly the values 64 − 0.25·i, once each.  A reply must
+        not show another request's debit that landed after its own."""
+        expected = sorted(64.0 - 0.25 * i for i in range(1, 257))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                ledgers = TenantLedgers()
+                ledgers.register("alpha", 64.0)
+                barrier = threading.Barrier(8)
+                seen = []
+                lock = threading.Lock()
+
+                def worker():
+                    barrier.wait()
+                    mine = [ledgers.charge("alpha", 0.25, purpose="q")
+                            for _ in range(32)]
+                    with lock:
+                        seen.extend(mine)
+
+                threads = [threading.Thread(target=worker) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                    assert not t.is_alive()
+                assert sorted(seen) == expected
+        finally:
+            sys.setswitchinterval(interval)
