@@ -310,12 +310,7 @@ def _ingest_sweep_history(args, specs, results, monitor, obs_metrics) -> None:
     flip its exit code, so every failure here degrades to a warning on
     stderr (mirroring the observer firewall in ``repro.obs.monitor``).
     """
-    from repro.obs.history import (
-        HistoryStore,
-        default_commit,
-        trial_row_from_record,
-        utility_rows_from_record,
-    )
+    from repro.obs.history import HistoryStore, default_commit
     from repro.robust.journal import spec_fingerprint
 
     source = str(args.journal or "run")
@@ -337,13 +332,12 @@ def _ingest_sweep_history(args, specs, results, monitor, obs_metrics) -> None:
                     spec_fingerprint(spec) if spec is not None else ""
                 )
                 for record in results[spec_name]:
-                    rows.append(trial_row_from_record(
-                        record, fingerprint, commit, histogram=histogram,
-                    ))
-                    utility_rows.extend(utility_rows_from_record(
+                    trial, utility = store.record_rows(
                         record, fingerprint, commit,
                         histogram=histogram, workloads=workloads,
-                    ))
+                    )
+                    rows.append(trial)
+                    utility_rows.extend(utility)
             outcomes = [store.add_trials(rows, source=source)]
             if utility_rows:
                 outcomes.append(store.add_utility(utility_rows,

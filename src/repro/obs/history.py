@@ -85,7 +85,6 @@ __all__ = [
     "TrialRow",
     "UtilityRow",
     "default_commit",
-    "oracle_prediction",
     "parse_sweep_spec_name",
     "sniff_source",
     "trial_content_sha",
@@ -150,7 +149,7 @@ def parse_sweep_spec_name(spec_name: str) -> Optional[Dict[str, str]]:
 # ---------------------------------------------------------------------------
 
 def _radar_oracle(publisher: str, histogram: Any, epsilon: float,
-                  record: Any) -> Any:
+                  record: Any, oracles: Any) -> Any:
     """The oracle the *radar* anchors to for one realized trial.
 
     Mostly :func:`repro.verify.oracles.oracle_from_result` — exact (or
@@ -165,13 +164,23 @@ def _radar_oracle(publisher: str, histogram: Any, epsilon: float,
     unmerged identity release — so those rows anchor to the identity
     oracle as an ``upper_bound`` (flags from above only; the
     calibration suite power-tests the bound).
-    """
-    from repro.verify.oracles import dwork_oracle, oracle_from_result
 
-    oracle = oracle_from_result(publisher, histogram, epsilon, record)
+    ``oracles`` (a :class:`repro.verify.oracles.OracleCache`) builds
+    the data-independent anchors, that identity bound included, once.
+    """
     meta = getattr(record, "meta", {}) or {}
-    if str(publisher) == "noisefirst" and meta.get("partition") is not None:
+    partition = meta.get("partition")
+    if str(publisher) != "noisefirst" or partition is None:
+        return oracles.from_result(publisher, histogram, epsilon, record)
+    if partition.n != histogram.size:
+        # As the partition-conditional oracle would: a journal ingested
+        # with the wrong dataset size gets no anchor, not a wrong one.
+        raise ValueError("partition and counts sizes differ")
+
+    def identity_bound() -> Any:
         import dataclasses
+
+        from repro.verify.oracles import dwork_oracle
 
         return dataclasses.replace(
             dwork_oracle(histogram.size, epsilon),
@@ -181,28 +190,11 @@ def _radar_oracle(publisher: str, histogram: Any, epsilon: float,
                   "the unmerged identity (partition-conditional oracle "
                   "is selection-biased low)",
         )
-    return oracle
 
-
-def oracle_prediction(
-    record: Any, histogram: Any, epsilon: float
-) -> Tuple[Optional[float], Optional[str]]:
-    """``(expected unit MSE, oracle kind)`` for one realized trial.
-
-    Builds the publisher's radar anchor (:func:`_radar_oracle`) from
-    the trial's journaled metadata — conditional on the realized
-    partition / cluster / coefficient choice riding in ``record.meta``.
-    Returns ``(None, None)`` when no oracle can be built (unknown
-    publisher, missing metadata): the drift engine then falls back to
-    purely longitudinal detection for that cell.
-    """
-    try:
-        oracle = _radar_oracle(
-            record.publisher, histogram, epsilon, record
-        )
-        return float(oracle.unit_mse()), oracle.kind
-    except Exception:
-        return None, None
+    return oracles.get(
+        ("noisefirst", histogram.size, epsilon, "upper_bound"),
+        identity_bound,
+    )
 
 
 def _parse_scenario(spec_name: str) -> Optional[Any]:
@@ -251,25 +243,6 @@ def _reconstruct_histogram(
         return builder(n_bins=n_bins, total=total)
     except Exception:
         return None
-
-
-def _utility_context(
-    spec_name: str, n_bins: int, total: int
-) -> Tuple[Optional[Any], Optional[Dict[str, Any]]]:
-    """``(histogram, workloads-by-name)`` for utility derivation.
-
-    Scenario specs rebuild both from the registry; sweep specs rebuild
-    the dataset only (their single workload is ``unit``, which the
-    oracle handles without a Workload object).
-    """
-    scenario = _parse_scenario(spec_name)
-    if scenario is not None:
-        try:
-            workloads = {w.name: w for w in scenario.build_workloads()}
-            return scenario.build_histogram(), workloads
-        except Exception:
-            return None, None
-    return _reconstruct_histogram(spec_name, n_bins, total), None
 
 
 # ---------------------------------------------------------------------------
@@ -374,61 +347,14 @@ def trial_row_from_record(
     """
     from repro.robust.records import is_failed
 
-    failed = is_failed(record)
-    meta = getattr(record, "meta", {}) or {}
-    parsed = parse_sweep_spec_name(record.spec_name)
-    dataset = parsed["dataset"] if parsed else None
-    partition = meta.get("partition")
-    k = None
-    if partition is not None and hasattr(partition, "boundaries"):
-        k = len(partition.boundaries) + 1
-    n = None
-    if histogram is not None:
-        n = int(histogram.size)
-    elif partition is not None and hasattr(partition, "n"):
-        n = int(partition.n)
-    elif n_bins is not None:
-        n = int(n_bins)
-
-    oracle_mse = oracle_kind = None
-    unit_mse = unit_mae = kl = ks = seconds = None
-    if not failed:
-        seconds = float(record.seconds)
-        kl = float(record.kl)
-        ks = float(record.ks)
-        errors = record.workload_errors.get("unit")
-        if errors is not None:
-            unit_mse = float(errors.mse)
-            unit_mae = float(errors.mae)
-        epsilon = float(meta.get("spec_epsilon", record.epsilon))
-        if histogram is None and n_bins is not None and total is not None:
-            histogram = _reconstruct_histogram(
-                record.spec_name, n_bins, total
-            )
-        if histogram is not None:
-            oracle_mse, oracle_kind = oracle_prediction(
-                record, histogram, epsilon
-            )
-
-    return TrialRow(
-        commit=commit,
-        fingerprint=fingerprint,
-        spec_name=record.spec_name,
-        publisher=record.publisher,
-        epsilon=float(record.epsilon),
-        seed=int(record.seed),
-        ok=not failed,
-        dataset=dataset,
-        k=k,
-        n=n,
-        seconds=seconds,
-        kl=kl,
-        ks=ks,
-        unit_mse=unit_mse,
-        unit_mae=unit_mae,
-        oracle_mse=oracle_mse,
-        oracle_kind=oracle_kind,
-        content_sha=trial_content_sha(record),
+    cache = _IngestCache()
+    anchor = histogram
+    if (anchor is None and n_bins is not None and total is not None
+            and not is_failed(record)):
+        anchor = _reconstruct_histogram(record.spec_name, n_bins, total)
+    return cache.trial_row(
+        record, fingerprint, commit, trial_content_sha(record),
+        histogram, cache.oracle(record, anchor), n_bins,
     )
 
 
@@ -514,72 +440,261 @@ def utility_rows_from_record(
     no rows — utility trending only makes sense for reconstructible
     cells.
     """
-    from repro.robust.records import is_failed
+    cache = _IngestCache()
+    return cache.utility_rows(
+        record, fingerprint, commit, trial_content_sha(record),
+        histogram, workloads, cache.oracle(record, histogram), total,
+    )
 
-    if is_failed(record):
-        return []
-    spec_name = record.spec_name
-    scenario = _parse_scenario(spec_name)
-    if scenario is not None:
-        family, label = scenario.family, scenario.label
-        total = scenario.total if total is None else total
-    else:
-        parsed = parse_sweep_spec_name(spec_name)
-        if parsed is None:
-            return []
-        family, label = "sweep", parsed["dataset"]
 
-    meta = getattr(record, "meta", {}) or {}
-    epsilon = float(meta.get("spec_epsilon", record.epsilon))
-    n = int(histogram.size) if histogram is not None else None
-    oracle = None
-    if histogram is not None:
+# ---------------------------------------------------------------------------
+# The ingest cache
+# ---------------------------------------------------------------------------
+
+#: A journal's latest records: ``(fingerprint, record, content SHA)``.
+_JournalRows = List[Tuple[str, Any, str]]
+
+
+class _IngestCache:
+    """What ingest builds once, each part filled on first use.
+
+    :class:`HistoryStore` keeps one for its lifetime, shared by the
+    trial and utility passes and by :meth:`HistoryStore.record_rows`:
+
+    * an :class:`repro.verify.oracles.OracleCache` — each
+      data-independent radar oracle (dwork, Boost, Privelet, a
+      NoiseFirst fallback and merged NoiseFirst's identity bound) once
+      per (publisher, n, ε, the meta fields read), the tree and Haar
+      matrices once per shape (DAWA-lite's bucket tree once per ``k``
+      and branching), and a cached oracle's workload MSE once per
+      workload;
+    * each reconstructed dataset, once per scenario or per sweep
+      (dataset, n_bins, total), and each scenario's workload battery,
+      once per scenario rather than once per spec (equal workloads of
+      different scenarios become one object);
+    * the last journal read: its latest record per cell with that
+      record's content SHA, parsed again only when the file's device,
+      inode, size or mtime changes.
+    """
+
+    def __init__(self) -> None:
+        self._oracles: Any = None
+        self._datasets: Dict[Tuple[Any, ...], Any] = {}
+        self._batteries: Dict[str, Optional[Dict[str, Any]]] = {}
+        #: One object per distinct workload, so scenarios with equal
+        #: batteries share their cached workload MSEs.
+        self._workloads: Dict[Any, Any] = {}
+        self._journal: Optional[Tuple[Tuple[int, ...], _JournalRows]] = None
+
+    @property
+    def oracles(self) -> Any:
+        if self._oracles is None:
+            from repro.verify.oracles import OracleCache
+
+            self._oracles = OracleCache()
+        return self._oracles
+
+    # -- inputs --------------------------------------------------------
+    def journal(self, path: Union[str, Path]) -> _JournalRows:
+        """Latest ``(fingerprint, record, content SHA)`` per journal cell
+        (later entries win, :meth:`CheckpointJournal.latest`)."""
+        from repro.robust.journal import CheckpointJournal, \
+            record_from_payload
+
         try:
-            oracle = _radar_oracle(
-                record.publisher, histogram, epsilon, record
+            stat = os.stat(path)
+        except FileNotFoundError:
+            return []
+        stamp = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        if self._journal is None or self._journal[0] != stamp:
+            rows = []
+            for entry in CheckpointJournal(path).latest():
+                record = record_from_payload(entry["payload"])
+                rows.append((entry.get("fingerprint", ""), record,
+                             trial_content_sha(record)))
+            self._journal = (stamp, rows)
+        return self._journal[1]
+
+    def dataset(self, spec_name: str, n_bins: int, total: int) -> Any:
+        """:func:`_reconstruct_histogram`, once per scenario or sweep
+        dataset."""
+        scenario = _parse_scenario(spec_name)
+        if scenario is not None:
+            key: Tuple[Any, ...] = ("scenario", scenario.name)
+        else:
+            parsed = parse_sweep_spec_name(spec_name)
+            if parsed is None:
+                return None
+            key = ("sweep", parsed["dataset"], n_bins, total)
+        if key not in self._datasets:
+            self._datasets[key] = _reconstruct_histogram(
+                spec_name, n_bins, total
             )
+        return self._datasets[key]
+
+    def utility_context(
+        self, spec_name: str, n_bins: int, total: int
+    ) -> Tuple[Optional[Any], Optional[Dict[str, Any]]]:
+        """``(histogram, workloads-by-name)`` for utility derivation.
+
+        Scenario specs rebuild both from the registry; sweep specs
+        rebuild the dataset only (their single workload is ``unit``,
+        which the oracle handles without a Workload object).
+        """
+        scenario = _parse_scenario(spec_name)
+        histogram = self.dataset(spec_name, n_bins, total)
+        if scenario is None:
+            return histogram, None
+        if scenario.name not in self._batteries:
+            try:
+                self._batteries[scenario.name] = {
+                    w.name: self._workloads.setdefault(w, w)
+                    for w in scenario.build_workloads()
+                }
+            except Exception:
+                self._batteries[scenario.name] = None
+        workloads = self._batteries[scenario.name]
+        if histogram is None or workloads is None:
+            return None, None
+        return histogram, workloads
+
+    def oracle(self, record: Any, histogram: Any) -> Any:
+        """The radar oracle of a successful record, or ``None`` (a
+        failed record, no dataset, or no oracle to build)."""
+        from repro.robust.records import is_failed
+
+        if histogram is None or is_failed(record):
+            return None
+        meta = getattr(record, "meta", {}) or {}
+        epsilon = float(meta.get("spec_epsilon", record.epsilon))
+        try:
+            return _radar_oracle(record.publisher, histogram, epsilon,
+                                 record, self.oracles)
         except Exception:
-            oracle = None
-    content = trial_content_sha(record)
-    rows: List[UtilityRow] = []
-    for wname in sorted(record.workload_errors):
-        werr = record.workload_errors[wname]
-        wobj = workloads.get(wname) if workloads else None
+            return None
+
+    # -- rows ----------------------------------------------------------
+    def trial_row(self, record: Any, fingerprint: str, commit: str,
+                  content_sha: str, histogram: Any, oracle: Any,
+                  n_bins: Optional[int] = None) -> TrialRow:
+        """A :class:`TrialRow` anchored to ``oracle``; ``n`` comes from
+        ``histogram``, the journaled partition or ``n_bins``."""
+        from repro.robust.records import is_failed
+
+        failed = is_failed(record)
+        meta = getattr(record, "meta", {}) or {}
+        parsed = parse_sweep_spec_name(record.spec_name)
+        partition = meta.get("partition")
+        k = None
+        if partition is not None and hasattr(partition, "boundaries"):
+            k = len(partition.boundaries) + 1
+        n = None
+        if histogram is not None:
+            n = int(histogram.size)
+        elif partition is not None and hasattr(partition, "n"):
+            n = int(partition.n)
+        elif n_bins is not None:
+            n = int(n_bins)
+
+        unit_mse = unit_mae = kl = ks = seconds = None
+        if not failed:
+            seconds = float(record.seconds)
+            kl = float(record.kl)
+            ks = float(record.ks)
+            errors = record.workload_errors.get("unit")
+            if errors is not None:
+                unit_mse = float(errors.mse)
+                unit_mae = float(errors.mae)
         oracle_mse = oracle_kind = None
         if oracle is not None:
             try:
-                if wobj is not None:
-                    oracle_mse = float(oracle.workload_mse(wobj))
-                    oracle_kind = oracle.kind
-                elif wname == "unit":
-                    oracle_mse = float(oracle.unit_mse())
-                    oracle_kind = oracle.kind
+                oracle_mse, oracle_kind = float(oracle.unit_mse()), oracle.kind
             except Exception:
-                oracle_mse = oracle_kind = None
-        n_queries = int(werr.n_queries)
-        rows.append(UtilityRow(
+                pass
+
+        return TrialRow(
             commit=commit,
             fingerprint=fingerprint,
-            spec_name=spec_name,
-            family=family,
-            scenario=label,
+            spec_name=record.spec_name,
             publisher=record.publisher,
             epsilon=float(record.epsilon),
             seed=int(record.seed),
-            workload=wname,
+            ok=not failed,
+            dataset=parsed["dataset"] if parsed else None,
+            k=k,
             n=n,
-            total=total,
-            n_queries=n_queries,
-            eff_queries=_effective_queries(wobj, wname, n_queries, n),
-            mse=float(werr.mse),
-            mae=float(werr.mae),
-            scaled=float(werr.scaled),
-            max_abs=float(werr.max_abs),
+            seconds=seconds,
+            kl=kl,
+            ks=ks,
+            unit_mse=unit_mse,
+            unit_mae=unit_mae,
             oracle_mse=oracle_mse,
             oracle_kind=oracle_kind,
-            content_sha=content,
-        ))
-    return rows
+            content_sha=content_sha,
+        )
+
+    def utility_rows(self, record: Any, fingerprint: str, commit: str,
+                     content_sha: str, histogram: Any,
+                     workloads: Optional[Dict[str, Any]], oracle: Any,
+                     total: Optional[int] = None) -> List[UtilityRow]:
+        """Per-workload :class:`UtilityRow` s anchored to ``oracle`` (see
+        :func:`utility_rows_from_record`)."""
+        from repro.robust.records import is_failed
+
+        if is_failed(record):
+            return []
+        spec_name = record.spec_name
+        scenario = _parse_scenario(spec_name)
+        if scenario is not None:
+            family, label = scenario.family, scenario.label
+            total = scenario.total if total is None else total
+        else:
+            parsed = parse_sweep_spec_name(spec_name)
+            if parsed is None:
+                return []
+            family, label = "sweep", parsed["dataset"]
+
+        n = int(histogram.size) if histogram is not None else None
+        rows: List[UtilityRow] = []
+        for wname in sorted(record.workload_errors):
+            werr = record.workload_errors[wname]
+            wobj = workloads.get(wname) if workloads else None
+            oracle_mse = oracle_kind = None
+            if oracle is not None:
+                try:
+                    if wobj is not None:
+                        oracle_mse = float(
+                            self.oracles.workload_mse(oracle, wobj))
+                        oracle_kind = oracle.kind
+                    elif wname == "unit":
+                        oracle_mse = float(oracle.unit_mse())
+                        oracle_kind = oracle.kind
+                except Exception:
+                    oracle_mse = oracle_kind = None
+            n_queries = int(werr.n_queries)
+            rows.append(UtilityRow(
+                commit=commit,
+                fingerprint=fingerprint,
+                spec_name=spec_name,
+                family=family,
+                scenario=label,
+                publisher=record.publisher,
+                epsilon=float(record.epsilon),
+                seed=int(record.seed),
+                workload=wname,
+                n=n,
+                total=total,
+                n_queries=n_queries,
+                eff_queries=_effective_queries(wobj, wname, n_queries, n),
+                mse=float(werr.mse),
+                mae=float(werr.mae),
+                scaled=float(werr.scaled),
+                max_abs=float(werr.max_abs),
+                oracle_mse=oracle_mse,
+                oracle_kind=oracle_kind,
+                content_sha=content_sha,
+            ))
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -766,13 +881,19 @@ _MIGRATIONS: Tuple[Tuple[int, Any], ...] = (
 # ---------------------------------------------------------------------------
 
 class HistoryStore:
-    """Append-only SQLite run-history store (see the module docstring)."""
+    """Append-only SQLite run-history store (see the module docstring).
+
+    Journal ingestion and :meth:`record_rows` share one
+    :class:`_IngestCache` per store, so each data-independent oracle,
+    dataset, workload battery and journal parse is built once.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._conn = sqlite3.connect(str(self.path))
         self._conn.row_factory = sqlite3.Row
         self._migrate()
+        self._cache = _IngestCache()
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -898,20 +1019,6 @@ class HistoryStore:
             commit,
         )
 
-    @staticmethod
-    def _journal_latest(
-        path: Union[str, Path]
-    ) -> "List[Tuple[str, Any]]":
-        """Latest ``(fingerprint, record)`` per journal cell."""
-        from repro.robust.journal import CheckpointJournal, \
-            record_from_payload
-
-        return [
-            (entry.get("fingerprint", ""),
-             record_from_payload(entry["payload"]))
-            for entry in CheckpointJournal(path).latest()
-        ]
-
     def ingest_journal(
         self,
         path: Union[str, Path],
@@ -927,19 +1034,17 @@ class HistoryStore:
         the oracle column to be exact (mismatches degrade to ``NULL``,
         never to a wrong anchor).  Trial rows only — see
         :meth:`ingest_journal_utility` for the per-workload table.
+        The journal parse, datasets and data-independent oracles are
+        the store's, shared with that pass (see :class:`_IngestCache`).
         """
         commit = commit if commit is not None else default_commit()
-        histograms: Dict[str, Any] = {}
+        cache = self._cache
         rows: List[TrialRow] = []
-        for fingerprint, record in self._journal_latest(path):
-            spec = record.spec_name
-            if spec not in histograms:
-                histograms[spec] = _reconstruct_histogram(
-                    spec, n_bins, total
-                )
-            rows.append(trial_row_from_record(
-                record, fingerprint, commit,
-                histogram=histograms[spec],
+        for fingerprint, record, sha in cache.journal(path):
+            histogram = cache.dataset(record.spec_name, n_bins, total)
+            rows.append(cache.trial_row(
+                record, fingerprint, commit, sha, histogram,
+                cache.oracle(record, histogram),
             ))
         return self.add_trials(rows, source=str(path))
 
@@ -958,18 +1063,39 @@ class HistoryStore:
         other ingest path.
         """
         commit = commit if commit is not None else default_commit()
-        contexts: Dict[str, Tuple[Any, Any]] = {}
+        cache = self._cache
         rows: List[UtilityRow] = []
-        for fingerprint, record in self._journal_latest(path):
-            spec = record.spec_name
-            if spec not in contexts:
-                contexts[spec] = _utility_context(spec, n_bins, total)
-            histogram, workloads = contexts[spec]
-            rows.extend(utility_rows_from_record(
-                record, fingerprint, commit,
-                histogram=histogram, workloads=workloads,
+        for fingerprint, record, sha in cache.journal(path):
+            histogram, workloads = cache.utility_context(
+                record.spec_name, n_bins, total
+            )
+            rows.extend(cache.utility_rows(
+                record, fingerprint, commit, sha, histogram, workloads,
+                cache.oracle(record, histogram),
             ))
         return self.add_utility(rows, source=str(path))
+
+    def record_rows(
+        self,
+        record: Any,
+        fingerprint: str,
+        commit: str,
+        histogram: Any = None,
+        workloads: "Optional[Dict[str, Any]]" = None,
+    ) -> Tuple[TrialRow, List[UtilityRow]]:
+        """A finished trial's trial row and utility rows, from one oracle
+        and one content SHA, through this store's cache (the ``run
+        --history`` path, which has each spec's dataset and workloads
+        in memory)."""
+        cache = self._cache
+        sha = trial_content_sha(record)
+        oracle = cache.oracle(record, histogram)
+        return (
+            cache.trial_row(record, fingerprint, commit, sha, histogram,
+                            oracle),
+            cache.utility_rows(record, fingerprint, commit, sha,
+                               histogram, workloads, oracle),
+        )
 
     # -- utility ingestion ---------------------------------------------
     _UTILITY_COLUMNS = (

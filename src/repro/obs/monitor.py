@@ -364,7 +364,8 @@ class ProgressMonitor(ExecutorObserver):
         self._durations_sum = 0.0
         self._durations_n = 0
         self._start: Optional[float] = None
-        self._in_flight: Dict[int, float] = {}
+        #: (spec, seed) -> dispatch time: a sweep's waves may span specs.
+        self._in_flight: Dict[Tuple[str, int], float] = {}
         self._line_open = False
 
     # -- derived state -------------------------------------------------
@@ -383,37 +384,42 @@ class ProgressMonitor(ExecutorObserver):
         mean = self._durations_sum / self._durations_n
         return max(self.straggler_after, self.straggler_factor * mean)
 
-    def stragglers(self) -> List[Dict[str, Any]]:
-        """In-flight seeds older than :meth:`straggler_threshold`."""
+    def _overdue(self) -> List[Tuple[str, int, float]]:
+        """``(spec, seed, age)`` of each in-flight cell older than
+        :meth:`straggler_threshold`."""
         now = self.clock()
         threshold = self.straggler_threshold()
-        out = [
-            {"seed": seed, "age_seconds": round(now - t0, 3)}
-            for seed, t0 in sorted(self._in_flight.items())
+        return [
+            (spec, seed, round(now - t0, 3))
+            for (spec, seed), t0 in sorted(self._in_flight.items())
             if now - t0 >= threshold
         ]
-        return out
+
+    def stragglers(self) -> List[Dict[str, Any]]:
+        """In-flight seeds older than :meth:`straggler_threshold`."""
+        return [{"seed": seed, "age_seconds": age}
+                for _spec, seed, age in self._overdue()]
 
     def _note_stragglers(
-        self, stragglers: Sequence[Dict[str, Any]]
+        self, overdue: Sequence[Tuple[str, int, float]]
     ) -> None:
         """Record fired straggler alerts (once per spec/seed, worst age)."""
         threshold = self.straggler_threshold()
-        for item in stragglers:
-            key: Tuple[str, int] = (self.spec_name, int(item["seed"]))
+        for spec, seed, age in overdue:
+            key = (spec, seed)
             if key in self._alerted:
                 for alert in self.alerts:
                     if (alert["spec"], alert["seed"]) == key:
                         alert["age_seconds"] = max(
-                            alert["age_seconds"], item["age_seconds"]
+                            alert["age_seconds"], age
                         )
                 continue
             self._alerted.add(key)
             self.alerts.append({
                 "kind": "straggler",
-                "spec": self.spec_name,
-                "seed": int(item["seed"]),
-                "age_seconds": item["age_seconds"],
+                "spec": spec,
+                "seed": seed,
+                "age_seconds": age,
                 "threshold": round(threshold, 3),
             })
 
@@ -421,39 +427,38 @@ class ProgressMonitor(ExecutorObserver):
     def on_run_start(self, spec_name, total_seeds, resumed):
         if self._start is None:
             self._start = self.clock()
-        self.spec_name = spec_name
-        self._in_flight.clear()
-        self._emit("run_start", total_seeds=total_seeds, resumed=resumed)
+        self._emit("run_start", spec_name, total_seeds=total_seeds,
+                   resumed=resumed)
 
     def on_dispatch(self, spec_name, seeds):
         now = self.clock()
         for seed in seeds:
-            self._in_flight[int(seed)] = now
-        self._emit("dispatch", seeds=[int(s) for s in seeds])
+            self._in_flight[(spec_name, int(seed))] = now
+        self._emit("dispatch", spec_name, seeds=[int(s) for s in seeds])
 
     def on_seed_done(self, spec_name, seed, record):
-        started = self._in_flight.pop(int(seed), None)
+        started = self._in_flight.pop((spec_name, int(seed)), None)
         if started is not None:
             self._durations_sum += max(self.clock() - started, 0.0)
             self._durations_n += 1
         self.done += 1
         if _is_failed(record):
             self.failed += 1
-        self._emit("seed_done", seed=int(seed),
+        self._emit("seed_done", spec_name, seed=int(seed),
                    ok=not _is_failed(record))
 
     def on_strike(self, spec_name, seed, kind, attempt, will_retry):
-        self._in_flight.pop(int(seed), None)
+        self._in_flight.pop((spec_name, int(seed)), None)
         if will_retry:
             self.retries += 1
-        self._emit("strike", seed=int(seed), kind=kind, attempt=attempt,
-                   will_retry=will_retry)
+        self._emit("strike", spec_name, seed=int(seed), kind=kind,
+                   attempt=attempt, will_retry=will_retry)
 
     def on_pool_respawn(self, spec_name):
-        self._emit("pool_respawn")
+        self._emit("pool_respawn", spec_name)
 
     def on_run_end(self, spec_name):
-        self._emit("run_end")
+        self._emit("run_end", spec_name)
 
     def close(self) -> None:
         """Finish the TTY line (call once after the sweep)."""
@@ -475,13 +480,17 @@ class ProgressMonitor(ExecutorObserver):
         eta = self.eta_seconds()
         if eta is not None:
             snap["eta_seconds"] = round(eta, 3)
-        stragglers = self.stragglers()
-        if stragglers:
-            snap["stragglers"] = stragglers
-            self._note_stragglers(stragglers)
+        overdue = self._overdue()
+        if overdue:
+            snap["stragglers"] = [{"seed": seed, "age_seconds": age}
+                                  for _spec, seed, age in overdue]
+            self._note_stragglers(overdue)
         return snap
 
-    def _emit(self, event: str, **fields: Any) -> None:
+    def _emit(self, event: str, spec_name: str, **fields: Any) -> None:
+        # The snapshot names the spec of this event: a sweep's waves span
+        # specs, so events of several specs interleave.
+        self.spec_name = spec_name
         if self.mode == "jsonl":
             payload = {"event": event, **fields, **self._snapshot()}
             self.stream.write(json.dumps(payload) + "\n")
@@ -500,14 +509,11 @@ class ProgressMonitor(ExecutorObserver):
         eta = self.eta_seconds()
         if eta is not None:
             parts.append(f"ETA {eta:.0f}s")
-        stragglers = self.stragglers()
-        if stragglers:
-            self._note_stragglers(stragglers)
-            worst = stragglers[-1]
-            parts.append(
-                f"straggler seed {worst['seed']} "
-                f"({worst['age_seconds']:.0f}s)"
-            )
+        overdue = self._overdue()
+        if overdue:
+            self._note_stragglers(overdue)
+            _spec, seed, age = overdue[-1]
+            parts.append(f"straggler seed {seed} ({age:.0f}s)")
         line = " | ".join(parts)
         if len(line) > self.width:
             line = line[: self.width - 1] + "…"

@@ -71,7 +71,21 @@ ENV_VAR = "REPRO_TRACE"
 #: Process-local override: ``None`` defers to the environment.
 _ENABLED: Optional[bool] = None
 
-_STATE = threading.local()
+
+class _State(threading.local):
+    """Per-thread span stack; ``None`` while no root is open.
+
+    The class default makes the disabled read a plain attribute hit.  A
+    bare ``threading.local`` that never held a stack answers
+    ``getattr(local, "stack", None)`` only after raising and catching
+    ``AttributeError`` inside, which costs more than the rest of
+    :func:`span` put together.
+    """
+
+    stack: Optional[List["Span"]] = None
+
+
+_STATE = _State()
 
 
 def set_enabled(value: Optional[bool]) -> Optional[bool]:
@@ -193,7 +207,7 @@ def span(name: str, **attrs: Any):
     The disabled path is a single thread-local attribute read returning
     a shared null context manager — safe to leave on hot paths.
     """
-    stack = getattr(_STATE, "stack", None)
+    stack = _STATE.stack
     if stack is None:
         return _NULL
     return _LiveSpanContext(stack, name, attrs)
@@ -210,7 +224,7 @@ class _RootContext:
 
     def __enter__(self) -> Span:
         self._root = Span(name=self._name, attrs=_clean_attrs(self._attrs))
-        self._previous = getattr(_STATE, "stack", None)
+        self._previous = _STATE.stack
         _STATE.stack = [self._root]
         self._t0 = time.perf_counter()
         return self._root

@@ -232,7 +232,7 @@ def _blocked_tables(cost, max_k: int) -> Tuple[np.ndarray, np.ndarray]:
     choices = np.zeros((max_k + 1, n + 1), dtype=np.int64)
     opt[0][0] = 0.0
 
-    buf = np.empty((max_k, n), dtype=np.float64)
+    buf = np.empty(max_k * n, dtype=np.float64)
     row_idx = np.arange(max_k)
 
     for j in range(1, n + 1):
@@ -249,7 +249,9 @@ def _blocked_tables(cost, max_k: int) -> Tuple[np.ndarray, np.ndarray]:
         r0 = 0
         while r0 < rows:
             r1 = min(r0 + chunk, rows)
-            block = buf[: r1 - r0, :j]
+            # A C-contiguous (r1 - r0, j) block: argmin copies a strided
+            # one before scanning it, which undoes the cache reuse.
+            block = buf[: (r1 - r0) * j].reshape(r1 - r0, j)
             np.add(opt[1 + r0 : 1 + r1, :j], closing[None, :j], out=block)
             best = np.argmin(block, axis=1)
             picked = block[row_idx[: r1 - r0], best]

@@ -2,8 +2,9 @@
 
 The robustness layer around :func:`repro.experiments.runner.run_matrix`:
 
-* :mod:`repro.robust.executor` — supervised process pool with per-seed
-  timeouts, bounded retry-with-backoff, crash recovery and quarantine;
+* :mod:`repro.robust.executor` — one supervisor and one process pool for
+  every (spec, seed) cell of a sweep, with per-cell timeouts, bounded
+  retry-with-backoff, crash recovery and quarantine;
 * :mod:`repro.robust.journal` — JSONL checkpoint journal enabling
   bit-identical ``--resume`` of interrupted sweeps;
 * :mod:`repro.robust.records` — structured :class:`FailedRecord`s for
@@ -18,7 +19,7 @@ journal format, and the determinism-under-retry argument.
 """
 
 from repro.robust.atomicio import RecordLog, atomic_write_text
-from repro.robust.executor import run_supervised
+from repro.robust.executor import run_supervised, supervise
 from repro.robust.faults import FaultPlan, FaultRule, InjectedFault
 from repro.robust.journal import CheckpointJournal, spec_fingerprint
 from repro.robust.records import FailedRecord, is_failed
@@ -27,6 +28,7 @@ __all__ = [
     "atomic_write_text",
     "RecordLog",
     "run_supervised",
+    "supervise",
     "FaultPlan",
     "FaultRule",
     "InjectedFault",

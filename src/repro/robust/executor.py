@@ -1,23 +1,24 @@
-"""Supervised, fault-tolerant execution of experiment matrices.
+"""Supervised, fault-tolerant execution of experiment sweeps.
 
-:func:`run_supervised` replaces the old ``pool.map`` fan-out with
-per-seed futures under an explicit supervisor:
+:func:`supervise` drives every *cell* — one ``(spec, seed)`` pair — of a
+sweep through one supervisor and one process pool, in waves of at most
+``n_jobs`` cells that may span specs:
 
 * **timeouts** — every trial gets ``timeout`` seconds of wall clock;
   a hung worker is detected, the pool is killed and respawned, and only
-  the unfinished seeds are re-dispatched;
+  the unfinished cells are re-dispatched;
 * **crash recovery** — an abruptly dead worker (segfault, OOM-kill,
   ``os._exit``) breaks the pool; completed sibling results are harvested
   first, then the pool is respawned.  Because a broken pool cannot say
-  *which* task killed it, the supervisor switches the suspect seeds into
-  **solo-probe mode** (one seed per wave) where a crash is unambiguously
-  attributable — innocent seeds never accumulate crash strikes;
-* **bounded retry with exponential backoff** — each failing seed is
+  *which* task killed it, the supervisor switches the suspect cells into
+  **solo-probe mode** (one cell per wave) where a crash is unambiguously
+  attributable — innocent cells never accumulate crash strikes;
+* **bounded retry with exponential backoff** — each failing cell is
   retried up to ``retries`` times (delay ``backoff * 2**(attempt-1)``,
   capped), then **quarantined**: under ``strict=True`` the underlying
   error is raised (fail-fast, the historical behavior), otherwise the
   cell degrades into a :class:`~repro.robust.records.FailedRecord` and
-  the rest of the matrix keeps running.  Backoff sleeps are *deferred*:
+  the rest of the sweep keeps running.  Backoff sleeps are *deferred*:
   a strike only schedules the delay, which is served between dispatches
   — never inside a wave's collection loop, where it would eat the
   shared timeout window, stall hung-worker detection, and postpone the
@@ -30,16 +31,20 @@ per-seed futures under an explicit supervisor:
   honored on resume by default; ``retry_failed=True`` gives them fresh
   attempts instead (e.g. after fixing a transient environment problem).
 
+:func:`run_supervised` (and :func:`repro.experiments.runner.run_matrix`
+on top of it) is the one-spec sweep of the same routine.
+
 Determinism under retry
 -----------------------
-A retried seed re-runs with the *same* integer seed, and every trial's
+A retried cell re-runs with the *same* integer seed, and every trial's
 RNG is constructed from that integer alone, so retries (and resumes)
 reproduce the exact record a fault-free run would have produced — the
 parallel-equals-serial bit-identical contract survives supervision.
 
-The spec is pickled **once** and shipped to each worker through the pool
-initializer (not once per seed as ``pool.map`` used to), which also
-means a respawned pool re-ships it automatically.
+The sweep's spec tuple is pickled **once** and shipped to each worker
+through the pool initializer (not once per seed as ``pool.map`` used
+to, nor once per spec), which also means a respawned pool re-ships it
+automatically.  Workers stay warm for the whole sweep.
 """
 
 from __future__ import annotations
@@ -56,7 +61,17 @@ from concurrent.futures import (
     ProcessPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Any, Callable, Dict, List, Optional, Set, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.exceptions import (
     TrialQuarantinedError,
@@ -66,7 +81,7 @@ from repro.exceptions import (
 from repro.robust.journal import CheckpointJournal, spec_fingerprint
 from repro.robust.records import FailedRecord
 
-__all__ = ["run_supervised", "BACKOFF_CAP"]
+__all__ = ["supervise", "run_supervised", "BACKOFF_CAP"]
 
 #: Upper bound on a single retry backoff sleep, in seconds.
 BACKOFF_CAP = 30.0
@@ -75,6 +90,9 @@ BACKOFF_CAP = 30.0
 #: completion, strike, or new probe member) before the supervisor
 #: declares the pool unrecoverable.
 _MAX_BARREN_GENERATIONS = 3
+
+#: One trial of a sweep: (index of its spec in the sweep, seed).
+Cell = Tuple[int, int]
 
 
 class _SafeObserver:
@@ -117,18 +135,18 @@ class _SafeObserver:
 
 
 # ---------------------------------------------------------------------------
-# Worker side: the spec is shipped once per process via the initializer
+# Worker side: the specs are shipped once per process via the initializer
 # ---------------------------------------------------------------------------
 
-_WORKER_SPEC: Any = None
+_WORKER_SPECS: Tuple[Any, ...] = ()
 
 
 def _init_worker(payload: bytes) -> None:
-    """Pool initializer: unpickle the spec once for this worker, and
-    exit it when the supervisor dies (a SIGKILLed one never shuts the
+    """Pool initializer: unpickle the sweep's specs once for this worker,
+    and exit it when the supervisor dies (a SIGKILLed one never shuts the
     pool down, leaving its workers blocked on the call queue)."""
-    global _WORKER_SPEC
-    _WORKER_SPEC = pickle.loads(payload)
+    global _WORKER_SPECS
+    _WORKER_SPECS = pickle.loads(payload)
     threading.Thread(target=_exit_with_parent, daemon=True).start()
 
 
@@ -139,11 +157,11 @@ def _exit_with_parent() -> None:
     os._exit(1)
 
 
-def _worker_run_seed(seed: int):
-    """Run one seed against the worker-resident spec."""
+def _worker_run_cell(index: int, seed: int):
+    """Run one cell against the worker-resident specs."""
     from repro.experiments.runner import _run_seed
 
-    return _run_seed(_WORKER_SPEC, seed)
+    return _run_seed(_WORKER_SPECS[index], seed)
 
 
 def _stop_pool(pool: ProcessPoolExecutor, kill: bool) -> None:
@@ -172,11 +190,18 @@ def _stop_pool(pool: ProcessPoolExecutor, kill: bool) -> None:
 # ---------------------------------------------------------------------------
 
 class _Supervisor:
-    """State machine driving one spec's seeds to completion."""
+    """State machine driving every cell of a sweep to completion.
+
+    Observer hooks name the cell's spec.  Each spec gets one
+    ``on_run_start`` (just before its first cell is dispatched, or at
+    once when the journal already holds all of it) and one
+    ``on_run_end`` (when its last cell is terminal, or when the sweep
+    raises).
+    """
 
     def __init__(
         self,
-        spec: Any,
+        specs: Sequence[Any],
         *,
         workers: int,
         timeout: Optional[float],
@@ -188,7 +213,7 @@ class _Supervisor:
         sleep: Callable[[float], None],
         observer: Any = None,
     ) -> None:
-        self.spec = spec
+        self.specs = tuple(specs)
         self.observer = _SafeObserver(observer)
         self.workers = workers
         self.timeout = timeout
@@ -198,13 +223,14 @@ class _Supervisor:
         self.journal = journal
         self.retry_failed = retry_failed
         self.sleep = sleep
-        self.fingerprint = (
+        self.fingerprints = [
             spec_fingerprint(spec) if journal is not None else ""
-        )
-        self.results: Dict[int, Union["RunRecord", FailedRecord]] = {}  # noqa: F821
-        self.attempts: Dict[int, int] = {}
-        self.pending: List[int] = []
-        self.probe: Set[int] = set()
+            for spec in self.specs
+        ]
+        self.results: Dict[Cell, Union["RunRecord", FailedRecord]] = {}  # noqa: F821
+        self.attempts: Dict[Cell, int] = {}
+        self.pending: List[Cell] = []
+        self.probe: Set[Cell] = set()
         self.progress = 0  # completions + strikes + probe growth
         #: Set on the timeout path *before* striking, so that even when
         #: a strict-mode strike raises out of the collection loop, the
@@ -213,42 +239,79 @@ class _Supervisor:
         self.must_kill = False
         #: Deferred backoff delays, served between dispatches.
         self._backoff_pending: List[float] = []
-        self._publisher_name: Optional[str] = None
-
-    # -- identity helpers ---------------------------------------------
-    @property
-    def publisher_name(self) -> str:
-        if self._publisher_name is None:
-            self._publisher_name = self.spec.publisher_factory().name
-        return self._publisher_name
+        #: Spec index -> its cells not yet terminal, for every spec
+        #: whose run has started and not ended.
+        self._running: Dict[int, int] = {}
+        self._started: Set[int] = set()
 
     # -- bookkeeping ---------------------------------------------------
-    def load_resume(self) -> None:
-        if self.journal is None:
-            return
-        done = self.journal.seeds_done(self.fingerprint)
-        for seed in self.spec.seeds:
-            if seed in done and seed not in self.results:
-                record = done[seed]
-                if self.retry_failed and isinstance(record, FailedRecord):
-                    # Journaled quarantine, but the operator asked for a
-                    # fresh attempt (the failure may have been a worker
-                    # OOM or other transient): leave the seed pending.
-                    continue
-                self.results[seed] = record
+    def load(self, resume: bool) -> None:
+        """Pre-load journaled cells (with ``resume``), queue the rest in
+        spec order, then seed order, and open and close the run of every
+        spec with nothing left to do."""
+        for index, spec in enumerate(self.specs):
+            done = (self.journal.seeds_done(self.fingerprints[index])
+                    if resume and self.journal is not None else {})
+            for seed in spec.seeds:
+                record = done.get(seed)
+                if record is None or (
+                    self.retry_failed and isinstance(record, FailedRecord)
+                ):
+                    # A journaled quarantine the operator asked to retry
+                    # (the failure may have been a worker OOM or other
+                    # transient) stays pending.
+                    self.pending.append((index, seed))
+                else:
+                    self.results[(index, seed)] = record
+        for index, _seed in self.pending:
+            self._running[index] = self._running.get(index, 0) + 1
+        for index in range(len(self.specs)):
+            if index not in self._running:
+                self._start(index)
+                self.observer.on_run_end(self.specs[index].name)
 
-    def _complete(self, seed: int, record: Any) -> None:
-        self.results[seed] = record
-        if seed in self.pending:
-            self.pending.remove(seed)
-        self.probe.discard(seed)
+    def _start(self, index: int) -> None:
+        if index not in self._started:
+            self._started.add(index)
+            spec = self.specs[index]
+            resumed = sum(1 for seed in set(spec.seeds)
+                          if (index, seed) in self.results)
+            self.observer.on_run_start(spec.name, len(spec.seeds), resumed)
+
+    def end_runs(self) -> None:
+        """Close the run of every started spec that is still open (the
+        sweep raised)."""
+        for index in sorted(self._started & set(self._running)):
+            del self._running[index]
+            self.observer.on_run_end(self.specs[index].name)
+
+    def _dispatch(self, wave: List[Cell]) -> None:
+        """Announce a wave: one ``on_dispatch`` per spec in it."""
+        seeds: Dict[int, List[int]] = {}
+        for index, seed in wave:
+            seeds.setdefault(index, []).append(seed)
+        for index, group in seeds.items():
+            self._start(index)
+            self.observer.on_dispatch(self.specs[index].name, group)
+
+    def _complete(self, cell: Cell, record: Any) -> None:
+        index, seed = cell
+        name = self.specs[index].name
+        self.results[cell] = record
+        if cell in self.pending:
+            self.pending.remove(cell)
+        self.probe.discard(cell)
         self.progress += 1
         if self.journal is not None:
-            self.journal.append(record, self.fingerprint)
-            self.observer.on_journal_append(self.spec.name)
-        self.observer.on_seed_done(self.spec.name, seed, record)
+            self.journal.append(record, self.fingerprints[index])
+            self.observer.on_journal_append(name)
+        self.observer.on_seed_done(name, seed, record)
+        self._running[index] -= 1
+        if not self._running[index]:
+            del self._running[index]
+            self.observer.on_run_end(name)
 
-    def _strike(self, seed: int, kind: str, cause: Any) -> None:
+    def _strike(self, cell: Cell, kind: str, cause: Any) -> None:
         """Record one failed attempt; quarantine when the budget is out.
 
         ``kind`` is ``"timeout"`` / ``"crash"`` / ``"raise"``; ``cause``
@@ -261,21 +324,22 @@ class _Supervisor:
         that have already finished.  :meth:`_flush_backoff` serves the
         delay at the next dispatch point instead.
         """
-        self.attempts[seed] = self.attempts.get(seed, 0) + 1
+        self.attempts[cell] = self.attempts.get(cell, 0) + 1
         self.progress += 1
-        will_retry = self.attempts[seed] <= self.retries
+        will_retry = self.attempts[cell] <= self.retries
         self.observer.on_strike(
-            self.spec.name, seed, kind, self.attempts[seed], will_retry
+            self.specs[cell[0]].name, cell[1], kind, self.attempts[cell],
+            will_retry,
         )
         if not will_retry:
-            self._give_up(seed, kind, cause)
+            self._give_up(cell, kind, cause)
             return
-        # Re-dispatch later: move to the end so healthy seeds go first.
-        if seed in self.pending:
-            self.pending.remove(seed)
-            self.pending.append(seed)
+        # Re-dispatch later: move to the end so healthy cells go first.
+        if cell in self.pending:
+            self.pending.remove(cell)
+            self.pending.append(cell)
         delay = min(
-            self.backoff * (2.0 ** (self.attempts[seed] - 1)), BACKOFF_CAP
+            self.backoff * (2.0 ** (self.attempts[cell] - 1)), BACKOFF_CAP
         )
         if delay > 0:
             self._backoff_pending.append(delay)
@@ -285,16 +349,18 @@ class _Supervisor:
 
         Runs *outside* any wave-collection window, so backoff never
         counts against a trial's timeout and never delays detection of
-        a hung sibling.  Quarantined seeds leave no residue: a pending
-        delay whose seed was given up still sleeps at most once, before
+        a hung sibling.  Quarantined cells leave no residue: a pending
+        delay whose cell was given up still sleeps at most once, before
         the next dispatch, mirroring the historical pacing.
         """
         pending, self._backoff_pending = self._backoff_pending, []
         for delay in pending:
             self.sleep(delay)
 
-    def _give_up(self, seed: int, kind: str, cause: Any) -> None:
-        spec = self.spec
+    def _give_up(self, cell: Cell, kind: str, cause: Any) -> None:
+        index, seed = cell
+        spec = self.specs[index]
+        publisher = spec.publisher_factory().name
         cause_text = (
             f"{type(cause).__name__}: {cause}"
             if isinstance(cause, BaseException)
@@ -310,21 +376,21 @@ class _Supervisor:
             cls = TrialTimeoutError if kind == "timeout" else WorkerCrashError
             raise cls(
                 spec_name=spec.name,
-                publisher=self.publisher_name,
+                publisher=publisher,
                 seed=seed,
                 epsilon=spec.epsilon,
                 cause=cause_text,
             )
         failed = FailedRecord(
             spec_name=spec.name,
-            publisher=self.publisher_name,
+            publisher=publisher,
             seed=seed,
             epsilon=spec.epsilon,
             error=TrialQuarantinedError.__name__,
             cause=cause_text,
-            attempts=self.attempts[seed],
+            attempts=self.attempts[cell],
         )
-        self._complete(seed, failed)
+        self._complete(cell, failed)
 
     # -- serial path ---------------------------------------------------
     def run_serial(self) -> None:
@@ -332,14 +398,14 @@ class _Supervisor:
 
         while self.pending:
             self._flush_backoff()
-            seed = self.pending[0]
-            self.observer.on_dispatch(self.spec.name, [seed])
+            cell = self.pending[0]
+            self._dispatch([cell])
             try:
-                record = _run_seed(self.spec, seed)
+                record = _run_seed(self.specs[cell[0]], cell[1])
             except Exception as exc:
-                self._strike(seed, "raise", exc)
+                self._strike(cell, "raise", exc)
             else:
-                self._complete(seed, record)
+                self._complete(cell, record)
 
     # -- parallel path -------------------------------------------------
     def run_parallel(self, payload: bytes) -> None:
@@ -347,7 +413,10 @@ class _Supervisor:
         generation = 0
         while self.pending:
             if generation > 0:
-                self.observer.on_pool_respawn(self.spec.name)
+                # Named after the spec of the next cell to run.
+                self.observer.on_pool_respawn(
+                    self.specs[self.pending[0][0]].name
+                )
             generation += 1
             progress_before = self.progress
             pool = ProcessPoolExecutor(
@@ -375,12 +444,11 @@ class _Supervisor:
                 barren = 0
 
     def _pool_unrecoverable(self) -> None:
-        seed = self.pending[0]
-        # Out of safe options: charge the head-of-line seed so strict
+        # Out of safe options: charge the head-of-line cell so strict
         # mode raises and non-strict mode quarantines, rather than
         # spinning on respawns forever.
         self._strike(
-            seed,
+            self.pending[0],
             "crash",
             "process pool kept breaking without attributable progress",
         )
@@ -394,11 +462,11 @@ class _Supervisor:
         while self.pending:
             self._flush_backoff()
             wave = self._next_wave()
-            self.observer.on_dispatch(self.spec.name, wave)
+            self._dispatch(wave)
             try:
                 futures = {
-                    seed: pool.submit(_worker_run_seed, seed)
-                    for seed in wave
+                    cell: pool.submit(_worker_run_cell, *cell)
+                    for cell in wave
                 }
             except BrokenExecutor:
                 # Broke between waves; nothing in flight to attribute.
@@ -411,26 +479,26 @@ class _Supervisor:
             return outcome == "kill"
         return False
 
-    def _next_wave(self) -> List[int]:
-        """Seeds for the next wave: solo while probing, else a full one.
+    def _next_wave(self) -> List[Cell]:
+        """Cells for the next wave: solo while probing, else a full one.
 
-        Waves never exceed the worker count, so every submitted seed
+        Waves never exceed the worker count, so every submitted cell
         starts immediately and the shared per-wave deadline is honest.
         """
         if self.probe:
-            for seed in self.pending:
-                if seed in self.probe:
-                    return [seed]
+            for cell in self.pending:
+                if cell in self.probe:
+                    return [cell]
         return list(self.pending[: self.workers])
 
     def _collect_wave(
-        self, wave: List[int], futures: Dict[int, Future]
+        self, wave: List[Cell], futures: Dict[Cell, Future]
     ) -> str:
         """Await one wave; returns ``"ok"``, ``"respawn"`` or ``"kill"``."""
         wave_start = time.monotonic()
         solo = len(wave) == 1
-        for seed in wave:
-            future = futures[seed]
+        for cell in wave:
+            future = futures[cell]
             try:
                 if self.timeout is not None:
                     remaining = wave_start + self.timeout - time.monotonic()
@@ -444,37 +512,37 @@ class _Supervisor:
                 # teardown must still terminate the hung worker.
                 self.must_kill = True
                 self._strike(
-                    seed,
+                    cell,
                     "timeout",
                     f"no result within timeout={self.timeout:g}s",
                 )
                 return "kill"  # hung worker: must terminate processes
             except BrokenExecutor as exc:
-                if solo or seed in self.probe:
-                    # Solo wave: the dead worker was running this seed.
-                    self._strike(seed, "crash", str(exc) or "worker died")
+                if solo or cell in self.probe:
+                    # Solo wave: the dead worker was running this cell.
+                    self._strike(cell, "crash", str(exc) or "worker died")
                 else:
                     # Concurrent wave: attribution is ambiguous — probe
                     # the unfinished members one at a time instead of
                     # charging innocents with crash strikes.
                     new = {
-                        s
-                        for s, f in futures.items()
-                        if s not in self.results and not f.done()
+                        c
+                        for c, f in futures.items()
+                        if c not in self.results and not f.done()
                     }
-                    new.add(seed)
+                    new.add(cell)
                     if new - self.probe:
                         self.progress += 1
                     self.probe.update(new)
                 return "respawn"
             except Exception as exc:
                 # Raised inside the worker; the pool itself is healthy.
-                self._strike(seed, "raise", exc)
+                self._strike(cell, "raise", exc)
             else:
-                self._complete(seed, record)
+                self._complete(cell, record)
         return "ok"
 
-    def _harvest(self, futures: Dict[int, Future]) -> None:
+    def _harvest(self, futures: Dict[Cell, Future]) -> None:
         """Bank every finished sibling result before recycling the pool.
 
         This is the "a killed worker loses zero completed records"
@@ -482,24 +550,24 @@ class _Supervisor:
         completed (and journaled) even though their pool is about to be
         torn down.
         """
-        for seed, future in futures.items():
-            if seed in self.results:
+        for cell, future in futures.items():
+            if cell in self.results:
                 continue
             if not future.done() or future.cancelled():
                 continue
             exc = future.exception()
             if exc is None:
-                self._complete(seed, future.result())
+                self._complete(cell, future.result())
             elif not isinstance(exc, (BrokenExecutor, FuturesTimeoutError)):
-                self._strike(seed, "raise", exc)
+                self._strike(cell, "raise", exc)
 
 
 # ---------------------------------------------------------------------------
-# Public entry point
+# Public entry points
 # ---------------------------------------------------------------------------
 
-def run_supervised(
-    spec: Any,
+def supervise(
+    specs: Sequence[Any],
     n_jobs: Optional[int] = None,
     *,
     timeout: Optional[float] = None,
@@ -511,24 +579,32 @@ def run_supervised(
     strict: bool = True,
     sleep: Callable[[float], None] = time.sleep,
     observer: Any = None,
-) -> List[Any]:
-    """Run a spec's seeds under supervision; see the module docstring.
+) -> List[List[Any]]:
+    """Run every (spec, seed) cell of a sweep under one supervisor.
 
-    Returns one entry per seed, in ``spec.seeds`` order: a ``RunRecord``
-    on success, a :class:`FailedRecord` for quarantined cells when
-    ``strict=False``.  With ``strict=True`` (default) the first
-    exhausted cell raises, restoring fail-fast semantics.
+    Returns, per spec in order, one entry per seed in ``spec.seeds``
+    order: a ``RunRecord`` on success, a :class:`FailedRecord` for
+    quarantined cells when ``strict=False``.  With ``strict=True``
+    (default) the first exhausted cell raises, restoring fail-fast
+    semantics.
 
-    ``retry_failed`` (with ``resume=True``) re-runs seeds whose journal
+    ``n_jobs`` defaults to the largest ``spec.n_jobs``.  With more than
+    one worker and more than one pending cell, one process pool serves
+    the whole sweep; a sweep whose specs cannot be pickled runs serially
+    (with a warning).  A sweep with nothing pending — a finished journal
+    under ``resume`` — pickles nothing and starts no pool.
+
+    ``retry_failed`` (with ``resume=True``) re-runs cells whose journal
     entry is a quarantined :class:`FailedRecord` instead of carrying the
     quarantine forward — the knob for resuming after a transient
     environment failure (worker OOM, infra flake) has been fixed.
 
     ``observer`` receives lifecycle events (see
-    :class:`repro.obs.monitor.ExecutorObserver`): run start/end,
-    dispatched waves, completions (including quarantines), strikes with
-    their taxonomy kind, pool respawns and journal appends.  Hooks are
-    exception-firewalled — a broken observer warns, never fails a run.
+    :class:`repro.obs.monitor.ExecutorObserver`): run start/end per
+    spec, dispatched waves (one event per spec in a wave), completions
+    (including quarantines), strikes with their taxonomy kind, pool
+    respawns and journal appends.  Hooks are exception-firewalled — a
+    broken observer warns, never fails a run.
     """
     from repro.experiments.runner import resolve_n_jobs
 
@@ -543,9 +619,13 @@ def run_supervised(
     if isinstance(journal, (str,)) or hasattr(journal, "__fspath__"):
         journal = CheckpointJournal(journal)
 
-    workers = resolve_n_jobs(spec.n_jobs if n_jobs is None else n_jobs)
+    if n_jobs is None:
+        workers = max((resolve_n_jobs(spec.n_jobs) for spec in specs),
+                      default=1)
+    else:
+        workers = resolve_n_jobs(n_jobs)
     supervisor = _Supervisor(
-        spec,
+        specs,
         workers=workers,
         timeout=timeout,
         retries=retries,
@@ -556,25 +636,17 @@ def run_supervised(
         sleep=sleep,
         observer=observer,
     )
-    if resume:
-        supervisor.load_resume()
-    supervisor.pending = [
-        seed for seed in spec.seeds if seed not in supervisor.results
-    ]
-
-    supervisor.observer.on_run_start(
-        spec.name, len(spec.seeds), len(supervisor.results)
-    )
     try:
+        supervisor.load(resume)
         parallel = workers > 1 and len(supervisor.pending) > 1
         payload: Optional[bytes] = None
         if parallel:
             try:
-                payload = pickle.dumps(spec)
+                payload = pickle.dumps(supervisor.specs)
             except Exception as exc:  # lambdas, local classes, handles...
                 warnings.warn(
-                    f"spec {spec.name!r} is not picklable ({exc}); "
-                    "running serially",
+                    f"sweep specs are not picklable ({exc}); running "
+                    "serially",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -593,6 +665,16 @@ def run_supervised(
                 )
             supervisor.run_serial()
     finally:
-        supervisor.observer.on_run_end(spec.name)
+        supervisor.end_runs()
 
-    return [supervisor.results[seed] for seed in spec.seeds]
+    return [
+        [supervisor.results[(index, seed)] for seed in spec.seeds]
+        for index, spec in enumerate(supervisor.specs)
+    ]
+
+
+def run_supervised(spec: Any, n_jobs: Optional[int] = None,
+                   **options: Any) -> List[Any]:
+    """One spec's seeds under supervision: a one-spec :func:`supervise`
+    (same options); ``n_jobs`` defaults to ``spec.n_jobs``."""
+    return supervise([spec], n_jobs, **options)[0]

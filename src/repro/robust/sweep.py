@@ -2,7 +2,8 @@
 
 A *sweep* is the paper's evaluation matrix in miniature: a roster of
 publishers × an epsilon grid × N seeds on one dataset, executed through
-the supervised executor with a shared checkpoint journal.  Both the CLI
+the supervised executor — one supervisor and one process pool for every
+(spec, seed) cell — with a shared checkpoint journal.  Both the CLI
 and the chaos/e2e tests build their specs through
 :func:`build_sweep_specs`, which guarantees that a resumed CLI sweep
 and an in-process reference run describe *bit-identical* experiment
@@ -111,7 +112,8 @@ def run_sweep(
     sleep: Callable[[float], None] = time.sleep,
     observer: Optional[object] = None,
 ) -> "Dict[str, List[object]]":
-    """Run every spec through the supervised executor; records by spec name.
+    """Run every spec's cells through one supervisor and one process pool
+    (:func:`repro.robust.executor.supervise`); records by spec name.
 
     One journal file is shared by the whole sweep (per-spec fingerprints
     keep entries separated), so a single ``--resume`` continues all of
@@ -120,32 +122,29 @@ def run_sweep(
     ``retry_failed`` (with ``resume``) gives journaled quarantines fresh
     attempts instead of carrying them forward.
 
-    ``observer`` (an :class:`repro.obs.monitor.ExecutorObserver`) is
-    shared across every spec in the sweep — the hooks all carry the
-    spec name, so one :class:`~repro.obs.monitor.RunStats` or
+    ``observer`` (an :class:`repro.obs.monitor.ExecutorObserver`) sees
+    the whole sweep — the hooks all carry the spec name, so one
+    :class:`~repro.obs.monitor.RunStats` or
     :class:`~repro.obs.monitor.ProgressMonitor` follows the whole
     matrix.
     """
-    from repro.experiments.runner import run_matrix
+    from repro.robust.executor import supervise
 
-    if journal is not None and not isinstance(journal, CheckpointJournal):
-        journal = CheckpointJournal(journal)
-    results: Dict[str, List[object]] = {}
-    for spec in specs:
-        results[spec.name] = run_matrix(
-            spec,
-            n_jobs,
-            timeout=timeout,
-            retries=retries,
-            backoff=backoff,
-            journal=journal,
-            resume=resume,
-            retry_failed=retry_failed,
-            strict=strict,
-            sleep=sleep,
-            observer=observer,
-        )
-    return results
+    specs = list(specs)
+    records = supervise(
+        specs,
+        n_jobs,
+        timeout=timeout,
+        retries=retries,
+        backoff=backoff,
+        journal=journal,
+        resume=resume,
+        retry_failed=retry_failed,
+        strict=strict,
+        sleep=sleep,
+        observer=observer,
+    )
+    return {spec.name: cells for spec, cells in zip(specs, records)}
 
 
 def sweep_table(results: "Dict[str, List[object]]") -> Tuple[Table, List[FailedRecord]]:

@@ -27,7 +27,18 @@ transform shows up as a calibration failure, not a silently wrong test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -57,6 +68,7 @@ __all__ = [
     "uniform_stream_oracle",
     "expected_variance",
     "oracle_from_result",
+    "OracleCache",
     "ORACLE_BUILDERS",
 ]
 
@@ -207,31 +219,17 @@ def boost_oracle(
     closed-form variance reductions of their Theorem 5 fall out of this
     covariance).  The estimator is unbiased, so the bias vector is zero.
     """
+    return _boost_oracle(n, epsilon, branching, consistency, _uncached)
+
+
+def _boost_oracle(n, epsilon, branching, consistency, memo) -> ErrorOracle:
     check_integer(n, "n", minimum=1)
     check_positive(epsilon, "epsilon")
     check_integer(branching, "branching", minimum=2)
-    b = branching
-    padded = 1
-    while padded < n:
-        padded *= b
-    level_sizes = [len(level) for level in build_tree_sums(np.zeros(padded), b)]
-    height = len(level_sizes)
-    n_meas = sum(level_sizes)
+    matrix = _tree_matrix(n, branching, consistency, memo)
+    height = len(_tree_level_sizes(n, branching))
+    n_meas = matrix.shape[1]
     var_node = 2.0 * (height / epsilon) ** 2
-
-    def estimator(measurements: np.ndarray) -> np.ndarray:
-        levels: List[np.ndarray] = []
-        offset = 0
-        for size in level_sizes:
-            levels.append(measurements[offset : offset + size])
-            offset += size
-        if consistency:
-            leaves = consistent_leaves(levels, b)
-        else:
-            leaves = levels[0]
-        return leaves[:n]
-
-    matrix = linear_operator_matrix(estimator, n_meas)
     cov = output_covariance(matrix, np.full(n_meas, var_node))
     return ErrorOracle(
         publisher="boost",
@@ -243,6 +241,44 @@ def boost_oracle(
             f"consistency={'on' if consistency else 'off'}"
         ),
     )
+
+
+def _tree_level_sizes(leaves: int, branching: int) -> List[int]:
+    """Node counts per level, leaves first, of the ``branching``-ary
+    interval tree over ``leaves`` leaves zero-padded to a power of
+    ``branching``."""
+    padded = 1
+    while padded < leaves:
+        padded *= branching
+    return [len(level)
+            for level in build_tree_sums(np.zeros(padded), branching)]
+
+
+def _tree_matrix(leaves: int, branching: int, consistency: bool,
+                 memo: "Memo") -> np.ndarray:
+    """The linear map from a tree's node measurements to its first
+    ``leaves`` leaf estimates (Boost's consistent estimator, or the raw
+    leaves without ``consistency``), built through ``memo`` under
+    ``("tree", leaves, branching, consistency)``."""
+
+    def build() -> np.ndarray:
+        level_sizes = _tree_level_sizes(leaves, branching)
+
+        def estimator(measurements: np.ndarray) -> np.ndarray:
+            levels: List[np.ndarray] = []
+            offset = 0
+            for size in level_sizes:
+                levels.append(measurements[offset : offset + size])
+                offset += size
+            if consistency:
+                estimate = consistent_leaves(levels, branching)
+            else:
+                estimate = levels[0]
+            return estimate[:leaves]
+
+        return linear_operator_matrix(estimator, sum(level_sizes))
+
+    return memo(("tree", leaves, branching, consistency), build)
 
 
 def privelet_oracle(n: int, epsilon: float) -> ErrorOracle:
@@ -257,6 +293,10 @@ def privelet_oracle(n: int, epsilon: float) -> ErrorOracle:
     :func:`repro.analysis.variance.privelet_unit_variance`, and its
     range sums realize the ``O(log^3 n / eps^2)`` range-query bound.
     """
+    return _privelet_oracle(n, epsilon, _uncached)
+
+
+def _privelet_oracle(n, epsilon, memo) -> ErrorOracle:
     check_integer(n, "n", minimum=1)
     check_positive(epsilon, "epsilon")
     m = 1
@@ -286,7 +326,8 @@ def privelet_oracle(n: int, epsilon: float) -> ErrorOracle:
             pos += size
         return haar_inverse(base, details)[:n]
 
-    matrix = linear_operator_matrix(estimator, n_meas)
+    matrix = memo(("haar", n),
+                  lambda: linear_operator_matrix(estimator, n_meas))
     cov = output_covariance(matrix, variances)
     return ErrorOracle(
         publisher="privelet",
@@ -427,30 +468,21 @@ def dawa_oracle(
     covariance ``Cov[B_i, B_j] / (w_i w_j)``.  Bias is the bucket-mean
     approximation, as for StructureFirst.
     """
+    return _dawa_oracle(counts, partition, eps_measure, branching, _uncached)
+
+
+def _dawa_oracle(counts, partition, eps_measure, branching,
+                 memo) -> ErrorOracle:
     arr = check_counts(counts, "counts")
     check_positive(eps_measure, "eps_measure")
     check_integer(branching, "branching", minimum=2)
     if partition.n != len(arr):
         raise ValueError("partition and counts sizes differ")
     k = partition.k
-    b = branching
-    padded = 1
-    while padded < k:
-        padded *= b
-    level_sizes = [len(level) for level in build_tree_sums(np.zeros(padded), b)]
-    height = len(level_sizes)
-    n_meas = sum(level_sizes)
+    matrix = _tree_matrix(k, branching, True, memo)
+    height = len(_tree_level_sizes(k, branching))
+    n_meas = matrix.shape[1]
     var_node = 2.0 * (height / eps_measure) ** 2
-
-    def bucket_estimator(measurements: np.ndarray) -> np.ndarray:
-        levels: List[np.ndarray] = []
-        offset = 0
-        for size in level_sizes:
-            levels.append(measurements[offset : offset + size])
-            offset += size
-        return consistent_leaves(levels, b)[:k]
-
-    matrix = linear_operator_matrix(bucket_estimator, n_meas)
     bucket_cov = output_covariance(matrix, np.full(n_meas, var_node))
 
     n = len(arr)
@@ -771,40 +803,49 @@ def oracle_from_result(
 
     For the deterministic-structure publishers the metadata is only used
     for configuration echoes (branching, consistency) and the oracle is
-    unconditional.
+    unconditional.  Every call builds afresh; :class:`OracleCache`
+    builds the data-independent ones once.
     """
+    return _from_result(publisher, histogram, epsilon, result, _uncached)
+
+
+def _from_result(publisher, histogram, epsilon, result,
+                 memo: "Memo") -> ErrorOracle:
     name = publisher.name if isinstance(publisher, Publisher) else str(publisher)
     meta = result.meta
     counts = histogram.counts
     n = histogram.size
     if name == "dwork":
-        return dwork_oracle(n, epsilon)
+        return memo(("dwork", n, epsilon), lambda: dwork_oracle(n, epsilon))
     if name == "uniform":
         return uniform_flat_oracle(counts, epsilon)
     if name == "boost":
-        return boost_oracle(
-            n,
-            epsilon,
-            branching=int(meta.get("branching", 2)),
-            consistency=bool(meta.get("consistency", True)),
+        branching = int(meta.get("branching", 2))
+        consistency = bool(meta.get("consistency", True))
+        return memo(
+            ("boost", n, epsilon, branching, consistency),
+            lambda: _boost_oracle(n, epsilon, branching, consistency, memo),
         )
     if name == "privelet":
-        return privelet_oracle(n, epsilon)
+        return memo(("privelet", n, epsilon),
+                    lambda: _privelet_oracle(n, epsilon, memo))
     if name == "noisefirst":
         partition = meta.get("partition")
         if partition is None:  # adaptive NF fell back to the identity
-            return dwork_oracle(n, epsilon)
+            return memo(("dwork", n, epsilon),
+                        lambda: dwork_oracle(n, epsilon))
         return noisefirst_oracle(counts, partition, epsilon)
     if name == "structurefirst":
         return structurefirst_oracle(
             counts, meta["partition"], meta["eps_noise"]
         )
     if name == "dawa-lite":
-        return dawa_oracle(
+        return _dawa_oracle(
             counts,
             meta["partition"],
             meta["eps_measure"],
-            branching=int(meta.get("branching", 2)),
+            int(meta.get("branching", 2)),
+            memo,
         )
     if name == "ahp":
         return ahp_oracle(counts, meta["cluster_bins"], meta["eps_counts"])
@@ -818,3 +859,75 @@ def oracle_from_result(
         f"no conditional oracle for publisher {name!r}; have "
         f"{sorted(ORACLE_BUILDERS)}"
     )
+
+
+# ---------------------------------------------------------------------------
+# Building once
+# ---------------------------------------------------------------------------
+
+#: ``memo(key, build)``: the value for ``key``, from ``build()`` when it
+#: is not cached.  The private builders take one for their matrices.
+Memo = Callable[[Hashable, Callable[[], Any]], Any]
+
+
+def _uncached(key: Hashable, build: Callable[[], Any]) -> Any:
+    return build()
+
+
+class OracleCache:
+    """Data-independent oracles and estimator matrices, each built once.
+
+    Dwork, Boost, Privelet and a NoiseFirst publish that fell back to
+    the identity depend only on the publisher, ``n``, ε and the meta
+    fields :meth:`from_result` reads (Boost's branching and
+    consistency), so each is built once per such key.  The linear maps
+    of Boost's and DAWA-lite's interval trees depend only on (leaves,
+    branching, consistency) and Privelet's Haar inverse only on ``n``;
+    each is built once as well, which covers DAWA-lite's bucket tree
+    for every partition of the same ``k``.  Everything cached is
+    read-only: writing to a cached oracle's arrays raises.
+
+    An owner that anchors many trials keeps one cache (the history
+    store keeps one per store); :func:`oracle_from_result` is the
+    uncached form.
+    """
+
+    def __init__(self) -> None:
+        self._built: Dict[Hashable, Any] = {}
+        self._oracle_ids: Set[int] = set()
+        #: ``(id of a cached oracle, id of a workload)`` -> the workload
+        #: (held, so its id stays its own) and its MSE.
+        self._mse: Dict[Tuple[int, int], Tuple[Workload, float]] = {}
+
+    def get(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The value cached under ``key``; ``build()`` makes it on first
+        use, and its arrays are then made read-only."""
+        try:
+            return self._built[key]
+        except KeyError:
+            pass
+        value = build()
+        if isinstance(value, ErrorOracle):
+            value.per_bin_bias.setflags(write=False)
+            value.covariance.setflags(write=False)
+            self._oracle_ids.add(id(value))
+        else:
+            value.setflags(write=False)
+        self._built[key] = value
+        return value
+
+    def from_result(self, publisher: Union[str, Publisher],
+                    histogram: Histogram, epsilon: float,
+                    result) -> ErrorOracle:
+        """:func:`oracle_from_result`, building through this cache."""
+        return _from_result(publisher, histogram, epsilon, result, self.get)
+
+    def workload_mse(self, oracle: ErrorOracle, workload: Workload) -> float:
+        """``oracle.workload_mse(workload)``; computed once per workload
+        when ``oracle`` came from this cache."""
+        if id(oracle) not in self._oracle_ids:
+            return oracle.workload_mse(workload)
+        key = (id(oracle), id(workload))
+        if key not in self._mse:
+            self._mse[key] = (workload, oracle.workload_mse(workload))
+        return self._mse[key][1]

@@ -598,3 +598,147 @@ class TestPriorCellStats:
         stats = store.prior_cell_stats(name, "noisefirst", 0.5)
         assert stats["n_trials"] == 2
         assert stats["mean_mse"] == pytest.approx(2.0)
+
+
+class TestIngestCache:
+    """One store builds each data-independent oracle, dataset and workload
+    battery once, across records, journals and both ingest passes, and
+    its rows equal a rebuild of every record from scratch."""
+
+    SCENARIOS = ("step/step-64", "step/step-256")
+
+    @pytest.fixture(scope="class")
+    def journals(self, tmp_path_factory):
+        """An n=64 and an n=256 journal, each with two ε and two seeds of
+        dwork, NoiseFirst, Boost, Privelet and DAWA-lite."""
+        import dataclasses
+
+        from repro.robust.sweep import run_sweep
+        from repro.scenarios import build_scenario_specs
+        from repro.serve.spec import serve_roster
+
+        root = tmp_path_factory.mktemp("cache")
+        paths = []
+        for name in self.SCENARIOS:
+            specs = build_scenario_specs(
+                scenarios=[name],
+                publishers=["dwork", "noisefirst", "boost", "privelet"],
+                epsilons=(0.5, 1.0), n_seeds=2,
+            )
+            specs += [
+                dataclasses.replace(
+                    s, name=s.name.replace("/dwork/", "/dawa-lite/"),
+                    publisher_factory=serve_roster()["dawa-lite"])
+                for s in specs if "/dwork/" in s.name
+            ]
+            path = root / f"{name.split('/')[1]}.jsonl"
+            run_sweep(specs, journal=str(path))
+            paths.append(path)
+        return paths
+
+    @staticmethod
+    def _table(store, table):
+        cols = [r[1] for r in store._conn.execute(
+            f"PRAGMA table_info({table})")]
+        keep = [c for c in cols if c not in ("id", "batch_id")]
+        rows = store._conn.execute(
+            f"SELECT {', '.join(keep)} FROM {table} ORDER BY id"
+        ).fetchall()
+        # repr keeps every float bit (oracle_mse included).
+        return [tuple(repr(v) for v in row) for row in rows]
+
+    def test_rows_equal_a_per_record_rebuild(self, journals, tmp_path):
+        from repro.obs.history import utility_rows_from_record
+        from repro.robust.journal import record_from_payload
+        from repro.scenarios import parse_scenario_spec_name
+
+        with HistoryStore(tmp_path / "cached.sqlite") as cached, \
+                HistoryStore(tmp_path / "rebuilt.sqlite") as rebuilt:
+            for path in journals:
+                cached.ingest_journal(path, commit="c1")
+                cached.ingest_journal_utility(path, commit="c1")
+            for path in journals:
+                trial_rows, utility_rows = [], []
+                for entry in CheckpointJournal(path).latest():
+                    record = record_from_payload(entry["payload"])
+                    scenario = parse_scenario_spec_name(
+                        record.spec_name)[0]
+                    fp = entry["fingerprint"]
+                    trial_rows.append(trial_row_from_record(
+                        record, fp, "c1",
+                        histogram=scenario.build_histogram()))
+                    utility_rows += utility_rows_from_record(
+                        record, fp, "c1",
+                        histogram=scenario.build_histogram(),
+                        workloads={w.name: w
+                                   for w in scenario.build_workloads()})
+                rebuilt.add_trials(trial_rows)
+                rebuilt.add_utility(utility_rows)
+            assert cached.counts()["trials"] == 2 * 5 * 2 * 2
+            for table in ("trials", "utility"):
+                assert self._table(cached, table) == \
+                    self._table(rebuilt, table)
+            kinds = {row["oracle_kind"] for row in cached._conn.execute(
+                "SELECT oracle_kind FROM utility")}
+            assert None not in kinds
+
+    def test_reingesting_the_journals_adds_no_rows(self, journals,
+                                                   tmp_path):
+        with HistoryStore(tmp_path / "h.sqlite") as store:
+            for path in journals:
+                store.ingest_journal(path, commit="c1")
+                store.ingest_journal_utility(path, commit="c1")
+            before = store.counts()
+            for path in journals:
+                assert store.ingest_journal(path, commit="c1").new_rows == 0
+                assert store.ingest_journal_utility(
+                    path, commit="c1").new_rows == 0
+            assert store.counts() == before
+
+    def test_each_matrix_built_once(self, journals, tmp_path, monkeypatch):
+        """Boost's tree and Privelet's Haar inverse once per n, and
+        DAWA-lite's bucket tree once per distinct k, across records,
+        journals and both passes."""
+        from repro.robust.journal import record_from_payload
+        from repro.verify import oracles
+
+        built = []
+        original = oracles.linear_operator_matrix
+
+        def counting(apply_fn, input_dim, *args, **kwargs):
+            built.append(input_dim)
+            return original(apply_fn, input_dim, *args, **kwargs)
+
+        monkeypatch.setattr(oracles, "linear_operator_matrix", counting)
+        with HistoryStore(tmp_path / "h.sqlite") as store:
+            for path in journals:
+                store.ingest_journal(path, commit="c1")
+                store.ingest_journal_utility(path, commit="c1")
+        dawa_ks = {
+            record.meta["partition"].k
+            for path in journals
+            for record in (record_from_payload(e["payload"])
+                           for e in CheckpointJournal(path).latest())
+            if record.publisher == "dawa-lite"
+        }
+        trees = {64, 256} | dawa_ks
+        assert len(built) == len(trees) + 2  # + Haar at n = 64 and 256
+
+    def test_cached_oracles_are_read_only(self):
+        from repro.datasets.generators import step_histogram
+        from repro.verify.oracles import OracleCache, oracle_from_result
+
+        class Result:
+            meta = {"branching": 2, "consistency": True}
+
+        hist = step_histogram(32, 4, total=1_000, rng=0)
+        cache = OracleCache()
+        oracle = cache.from_result("boost", hist, 0.5, Result())
+        assert cache.from_result("boost", hist, 0.5, Result()) is oracle
+        for array in (oracle.covariance, oracle.per_bin_bias):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        fresh = oracle_from_result("boost", hist, 0.5, Result())
+        assert fresh is not oracle
+        assert fresh.covariance.tobytes() == oracle.covariance.tobytes()
+        fresh.covariance[0, 0] = 1.0  # uncached oracles stay writable

@@ -188,6 +188,27 @@ class TestProgressMonitorJsonl:
         monitor.on_seed_done("spec", 0, make_record())
         assert monitor.stragglers() == [{"seed": 7, "age_seconds": 9.0}]
 
+    def test_same_seed_of_two_specs_tracked_apart(self, make_record):
+        """A sweep's waves span specs, so in-flight cells are keyed by
+        (spec, seed): finishing one spec's seed 0 leaves the other's, and
+        each event names its own spec."""
+        clock = _Clock()
+        monitor, buf = self._monitor(clock)
+        monitor.on_run_start("a", 2, 0)
+        monitor.on_dispatch("a", [0])
+        monitor.on_run_start("b", 2, 0)
+        monitor.on_dispatch("b", [0])
+        clock.t = 10.0
+        monitor.on_seed_done("a", 0, make_record())
+        assert monitor.stragglers() == [{"seed": 0, "age_seconds": 10.0}]
+        assert [(a["spec"], a["seed"]) for a in monitor.alerts] == [
+            ("b", 0)]
+        lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert [(l["event"], l["spec"]) for l in lines] == [
+            ("run_start", "a"), ("dispatch", "a"),
+            ("run_start", "b"), ("dispatch", "b"), ("seed_done", "a"),
+        ]
+
     def test_strike_pops_in_flight_and_counts_retry(self):
         clock = _Clock()
         monitor, buf = self._monitor(clock)

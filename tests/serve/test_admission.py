@@ -184,7 +184,11 @@ def test_overload_sheds_503_with_retry_after_never_500():
         assert service.resilience()["shed"]["queue_full"] == shed
         stats = client.stats()
         assert stats["resilience"]["shed"]["queue_full"] == shed
-        # And once the slot frees up, the same request succeeds.
+        # And once the slot frees up, the same request succeeds.  The
+        # stats request holds the slot until just after its response is
+        # written, so the client can be back before the server has let
+        # go of it: wait for the release rather than race it.
+        assert admission.wait_drained(deadline_seconds=5.0)
         status, payload = client.query(
             "alice", [{"bin": 0}], fingerprint=fp
         )
