@@ -1,7 +1,7 @@
 """Bench: closed-form noise variances vs Monte Carlo measurement.
 
-Regenerates ablation ``abl_error_model``, validating
-``repro.analysis.variance`` on the live publishers.
+Regenerates ablation ``abl_error_model``, validating the oracles of
+``repro.verify.oracles`` on the live publishers.
 """
 
 

@@ -19,7 +19,6 @@ Quick start
 
 from repro import (
     accounting,
-    analysis,
     baselines,
     core,
     datasets,
@@ -59,7 +58,6 @@ __version__ = "1.0.0"
 __all__ = [
     # subpackages
     "accounting",
-    "analysis",
     "baselines",
     "core",
     "datasets",

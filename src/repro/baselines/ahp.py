@@ -65,11 +65,10 @@ class Ahp(Publisher):
         ``c`` in the cutoff ``c * sqrt(log n) / eps1``.
     kernel:
         DP engine for the clustering step
-        (:data:`repro.perf.kernels.KERNELS`); ``None`` defers to
-        :func:`repro.perf.kernels.resolve_kernel`.  The sorted scaffold
-        certifies the Monge property, so the default engages the
-        ``O(n k log n)`` divide-and-conquer kernel — AHP is the
-        publisher this speedup targets (see ``docs/performance.md``).
+        (:data:`repro.perf.kernels.KERNELS`); ``None`` means ``auto``.
+        The sorted scaffold certifies the Monge property, so the default
+        engages the ``O(n k log n)`` divide-and-conquer kernel — AHP is
+        the publisher this speedup targets (see ``docs/performance.md``).
     """
 
     name = "ahp"

@@ -7,6 +7,10 @@ since both the release and its parameters are already public.  The
 engine recognizes the structures of NoiseFirst / StructureFirst /
 DworkIdentity (via the metadata each leaves behind) and falls back to
 "no error bar" for publishers whose noise law it cannot reconstruct.
+
+The laws are the range variances of :mod:`repro.verify.oracles`,
+summed per bucket in ``O(k)``: an oracle holds the full ``n x n``
+covariance, which no query path can afford at large ``n``.
 """
 
 from __future__ import annotations
@@ -15,10 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.variance import (
-    dwork_range_variance,
-    structurefirst_range_variance,
-)
 from repro.core.publisher import PublishResult
 from repro.hist.ranges import RangeQuery
 from repro.partition.partition import Partition
@@ -87,34 +87,40 @@ class RangeEngine:
         partition = meta.get("partition")
 
         if "eps_noise" in meta and isinstance(partition, Partition):
-            # StructureFirst: one Lap(1/eps_n) per bucket sum.
-            return structurefirst_range_variance(
-                partition, meta["eps_noise"], query.lo, query.hi
-            )
+            # StructureFirst: one Lap(1/eps_n) per bucket sum, shared by
+            # the bucket's w_B bins, so a range over m_B of them carries
+            # (m_B / w_B)^2 * 2/eps_n^2.
+            eps_noise = meta["eps_noise"]
+            sigma2 = 2.0 / (eps_noise * eps_noise)
+            total = 0.0
+            for overlap, width in _overlaps(partition, query):
+                total += (overlap / width) ** 2 * sigma2
+            return total
         if "adaptive" in meta:
-            # NoiseFirst: independent Lap(1/eps) residuals averaged per
-            # bucket.  A range over m_B of bucket B's w_B bins sums m_B
-            # copies of the same bucket-mean noise (variance
-            # 2/(eps^2 w_B)), i.e. m_B^2 * 2/(eps^2 w_B^2) * w_B ... the
-            # bucket mean is a single shared value: (m_B/w_B)^2 * w_B *
-            # 2/eps^2 reduces to m_B^2/(w_B) * 2/eps^2 / w_B; computed
-            # below per bucket.  With no partition (k = n) this is the
-            # identity law.
+            # NoiseFirst: every bin of bucket B publishes the mean of w_B
+            # Lap(1/eps) draws, one shared noise of variance
+            # 2/(eps^2 w_B), so a range over m_B of them carries
+            # m_B^2 * 2/(eps^2 w_B).  With no partition (k = n) this is
+            # the identity law.
             sigma2 = 2.0 / (epsilon * epsilon)
             if partition is None:
                 return query.length * sigma2
             total = 0.0
-            for start, stop in partition.buckets():
-                overlap = min(query.hi + 1, stop) - max(query.lo, start)
-                if overlap > 0:
-                    width = stop - start
-                    # Shared bucket-mean noise has variance sigma2/width;
-                    # it is added to each of the overlap bins.
-                    total += (overlap**2) * sigma2 / width
+            for overlap, width in _overlaps(partition, query):
+                total += (overlap**2) * sigma2 / width
             return total
         if "noise_variance" in meta:
-            # DworkIdentity: independent per-bin noise.
-            return dwork_range_variance(
-                epsilon, query.length,
-            ) * (meta["noise_variance"] / (2.0 / epsilon**2))
+            # DworkIdentity: independent per-bin noise, 2/eps^2 a bin at
+            # sensitivity 1, scaled to the variance the publish recorded.
+            return query.length * (2.0 * (1.0 / epsilon) ** 2) * (
+                meta["noise_variance"] / (2.0 / epsilon**2)
+            )
         return None
+
+
+def _overlaps(partition: Partition, query: RangeQuery):
+    """``(overlap, width)`` of every bucket the range touches."""
+    for start, stop in partition.buckets():
+        overlap = min(query.hi + 1, stop) - max(query.lo, start)
+        if overlap > 0:
+            yield overlap, stop - start

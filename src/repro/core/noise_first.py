@@ -52,10 +52,9 @@ class NoiseFirst(Publisher):
         (1 for ``"unbounded"``, 2 for ``"bounded"``).
     kernel:
         DP engine for the post-processing v-optimal merge
-        (:data:`repro.perf.kernels.KERNELS`); ``None`` defers to
-        :func:`repro.perf.kernels.resolve_kernel`.  Noisy counts are
-        unsorted, so the exact blocked kernel is the effective engine —
-        see ``docs/performance.md``.
+        (:data:`repro.perf.kernels.KERNELS`); ``None`` means ``auto``.
+        Noisy counts are unsorted, so the exact blocked kernel is the
+        effective engine — see ``docs/performance.md``.
     """
 
     name = "noisefirst"

@@ -71,18 +71,14 @@ def ext_successors(quick: bool = False) -> List[Table]:
 def abl_error_model(quick: bool = False) -> List[Table]:
     """Closed-form noise-variance predictions vs Monte Carlo measurement.
 
-    Validates :mod:`repro.analysis.variance` on the real publishers with
-    frozen structures; the 'ratio' column should hover around 1.
+    Validates the oracles of :mod:`repro.verify.oracles` on the real
+    publishers with frozen structures; the 'ratio' column should hover
+    around 1.
     """
-    from repro.analysis.variance import (
-        dwork_unit_variance,
-        privelet_unit_variance,
-        structurefirst_range_variance,
-        structurefirst_unit_variance,
-    )
     from repro.baselines.dwork import DworkIdentity
     from repro.baselines.privelet import Privelet
     from repro.core import StructureFirst
+    from repro.verify.oracles import oracle_from_result
 
     n, eps = 128, 0.5
     zero = Histogram.from_counts(np.zeros(n))
@@ -93,42 +89,31 @@ def abl_error_model(quick: bool = False) -> List[Table]:
         headers=["quantity", "predicted", "measured", "ratio"],
     )
 
-    measured = np.var(
-        [DworkIdentity().publish(zero, budget=eps, rng=s).histogram.counts
-         for s in range(reps)],
-        axis=0,
-    ).mean()
-    predicted = dwork_unit_variance(eps)
-    table.add_row("dwork unit", predicted, float(measured),
-                  float(measured / predicted))
-
-    measured = np.var(
-        [Privelet().publish(zero, budget=eps, rng=s).histogram.counts
-         for s in range(reps)],
-        axis=0,
-    ).mean()
-    predicted = privelet_unit_variance(n, eps)
-    table.add_row("privelet unit", predicted, float(measured),
-                  float(measured / predicted))
+    for name, publisher in (("dwork", DworkIdentity()),
+                            ("privelet", Privelet())):
+        outputs = [publisher.publish(zero, budget=eps, rng=s)
+                   for s in range(reps)]
+        measured = np.var([o.histogram.counts for o in outputs],
+                          axis=0).mean()
+        oracle = oracle_from_result(name, zero, eps, outputs[0])
+        predicted = float(oracle.per_bin_variance.mean())
+        table.add_row(f"{name} unit", predicted, float(measured),
+                      float(measured / predicted))
 
     # SF with a pinned uniform structure so the partition is frozen.
     sf = StructureFirst(k=16, structure_mode="uniform")
     outputs = [sf.publish(zero, budget=eps, rng=s) for s in range(reps)]
-    partition = outputs[0].meta["partition"]
-    eps_noise = outputs[0].meta["eps_noise"]
+    oracle = oracle_from_result("structurefirst", zero, eps, outputs[0])
     counts = np.array([o.histogram.counts for o in outputs])
     measured_unit = float(counts.var(axis=0).mean())
-    predicted_unit = float(
-        structurefirst_unit_variance(partition, eps_noise).mean()
-    )
+    predicted_unit = float(oracle.per_bin_variance.mean())
     table.add_row("structurefirst unit", predicted_unit, measured_unit,
                   measured_unit / predicted_unit)
 
     lo, hi = 10, n // 2
     range_sums = counts[:, lo : hi + 1].sum(axis=1)
     measured_range = float(np.var(range_sums))
-    predicted_range = structurefirst_range_variance(partition, eps_noise,
-                                                    lo, hi)
+    predicted_range = oracle.range_variance(lo, hi)
     table.add_row("structurefirst range", predicted_range, measured_range,
                   measured_range / predicted_range)
     return [table]

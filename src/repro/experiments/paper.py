@@ -44,6 +44,7 @@ __all__ = [
     "PaperResult",
     "crossover_curves",
     "crossover_figure_svg",
+    "crossover_rows",
     "generate_paper",
     "paper_tables",
 ]
@@ -109,6 +110,29 @@ def _crossover_length(
         if sf < nf:
             return length
     return None
+
+
+def crossover_rows(
+    store: HistoryStore, family: str
+) -> "List[Tuple[str, float, str, int | None, str]]":
+    """One row per curve pair of :func:`crossover_curves`: ``(scenario,
+    eps, lengths compared, crossover length or None, verdict)``.
+
+    The crossover table of ``repro paper`` and the crossover badges of
+    ``repro history dash`` both print these rows.
+    """
+    rows = []
+    for (scen, eps), pairs in crossover_curves(store, family).items():
+        crossover = _crossover_length(pairs)
+        if crossover is None:
+            verdict = f"NoiseFirst ahead through len {pairs[-1][0]}"
+        elif crossover == pairs[0][0]:
+            verdict = "StructureFirst ahead at every length"
+        else:
+            verdict = f"crossover at len {crossover}"
+        lengths = ", ".join(str(l) for l, _, _ in pairs)
+        rows.append((scen, eps, lengths, crossover, verdict))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +202,10 @@ def _crossover_table(store: HistoryStore) -> Table:
               "length 1) — the paper's headline effect",
     )
     for family in store.utility_families():
-        for (scen, eps), pairs in crossover_curves(store, family).items():
-            crossover = _crossover_length(pairs)
-            if crossover is None:
-                verdict = f"NoiseFirst ahead through len {pairs[-1][0]}"
-            elif crossover == pairs[0][0]:
-                verdict = "StructureFirst ahead at every length"
-            else:
-                verdict = f"crossover at len {crossover}"
+        for scen, eps, lengths, crossover, verdict in crossover_rows(
+                store, family):
             table.add_row(
-                family, scen, f"{eps:g}",
-                ", ".join(str(l) for l, _, _ in pairs),
+                family, scen, f"{eps:g}", lengths,
                 "—" if crossover is None else crossover,
                 verdict,
             )

@@ -38,8 +38,8 @@ comparisons.
 Fault tolerance
 ---------------
 ``run_matrix`` accepts ``timeout=``, ``retries=``, ``journal=``,
-``resume=`` and ``strict=`` and forwards them to
-:func:`repro.robust.executor.run_supervised`; see ``docs/robustness.md``
+``resume=`` and ``strict=`` and forwards them to a one-spec
+:func:`repro.robust.executor.supervise`; see ``docs/robustness.md``
 for the failure taxonomy and recovery semantics.  The defaults preserve
 the historical fail-fast behavior exactly.
 """
@@ -231,7 +231,7 @@ def run_matrix(
     """Run a spec once per seed; returns the raw records in seed order.
 
     Execution goes through the supervised executor
-    (:func:`repro.robust.executor.run_supervised`): the spec is pickled
+    (:func:`repro.robust.executor.supervise`): the spec is pickled
     once and shipped per worker (not per seed), hung trials time out,
     dead workers respawn the pool and re-dispatch only missing seeds,
     and completed trials can be checkpointed to a JSONL journal.  With
@@ -279,10 +279,10 @@ def run_matrix(
         pool respawns).  Observer exceptions are downgraded to warnings
         — observability never fails a run.
     """
-    from repro.robust.executor import run_supervised
+    from repro.robust.executor import supervise
 
-    return run_supervised(
-        spec,
+    return supervise(
+        [spec],
         n_jobs,
         timeout=timeout,
         retries=retries,
@@ -293,7 +293,7 @@ def run_matrix(
         strict=strict,
         sleep=sleep,
         observer=observer,
-    )
+    )[0]
 
 
 def strip_timing(record: RunRecord) -> RunRecord:

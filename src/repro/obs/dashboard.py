@@ -135,63 +135,6 @@ def _accuracy_section(store: HistoryStore) -> List[str]:
     return lines
 
 
-def _crossover_badges(store: HistoryStore, family: str) -> List[tuple]:
-    """NoiseFirst-vs-StructureFirst crossover rows for one family.
-
-    The paper's headline effect: StructureFirst loses on point queries
-    but wins once ranges are long enough.  For every (scenario, ε) with
-    both publishers present, compare their latest mean MSE at each
-    fixed range length (``unit`` counts as length 1) and report the
-    smallest length where StructureFirst is ahead.
-    """
-    by_cell: Dict[tuple, Dict[int, Dict[str, float]]] = {}
-    for fam, scen, pub, eps, wl in store.utility_cells(family):
-        if pub not in ("noisefirst", "structurefirst"):
-            continue
-        if wl == "unit":
-            length = 1
-        elif wl.startswith("len-"):
-            try:
-                length = int(wl[4:])
-            except ValueError:
-                continue
-        else:
-            continue
-        series = store.utility_series(fam, scen, pub, eps, wl)
-        points = [p for p in series if p["mean_mse"] is not None]
-        if not points:
-            continue
-        by_cell.setdefault((scen, eps), {}) \
-            .setdefault(length, {})[pub] = float(points[-1]["mean_mse"])
-    rows = []
-    for (scen, eps), lengths in sorted(by_cell.items()):
-        pairs = sorted(
-            (l, d) for l, d in lengths.items()
-            if "noisefirst" in d and "structurefirst" in d
-        )
-        if not pairs:
-            continue
-        crossover = next(
-            (l for l, d in pairs
-             if d["structurefirst"] < d["noisefirst"]),
-            None,
-        )
-        if crossover is None:
-            badge = f"NoiseFirst ahead through len {pairs[-1][0]}"
-        elif crossover == pairs[0][0]:
-            badge = "StructureFirst ahead at every length"
-        else:
-            badge = f"crossover at len {crossover}"
-        rows.append((
-            scen,
-            f"{eps:g}",
-            ", ".join(str(l) for l, _ in pairs),
-            "—" if crossover is None else str(crossover),
-            badge,
-        ))
-    return rows
-
-
 def _utility_section(store: HistoryStore,
                      verdicts: Sequence[DriftVerdict]) -> List[str]:
     """Per-family utility trends + crossover badges (v3 stores).
@@ -199,6 +142,8 @@ def _utility_section(store: HistoryStore,
     Omitted entirely until utility rows are ingested, so pre-v3
     dashboards render byte-identically.
     """
+    from repro.experiments.paper import crossover_rows
+
     families = store.utility_families()
     if not families:
         return []
@@ -238,7 +183,12 @@ def _utility_section(store: HistoryStore,
                 rows,
             ))
             lines.append("")
-        badges = _crossover_badges(store, family)
+        badges = [
+            (scen, f"{eps:g}", lengths,
+             "—" if crossover is None else str(crossover), verdict)
+            for scen, eps, lengths, crossover, verdict
+            in crossover_rows(store, family)
+        ]
         if badges:
             lines.append(
                 "NoiseFirst ↔ StructureFirst crossover by range length:"

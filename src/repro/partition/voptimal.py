@@ -164,7 +164,7 @@ def voptimal_table(
     approximate (1+delta) engine beyond it, returning an
     :class:`ApproxVOptimalResult`; ``"approx"`` forces the approximate
     engine at any size; ``"reference"`` is the O(n^2 k) anchor; ``None``
-    defers to :func:`repro.perf.kernels.resolve_kernel`.
+    means ``"auto"``.
     """
     arr = check_counts(counts, "counts")
     n = len(arr)

@@ -48,7 +48,6 @@ from repro.perf.kernels import (
     dp_tables,
     resolve_kernel,
     resolve_table_kernel,
-    set_default_kernel,
 )
 from repro.perf.approx import (
     APPROX_DELTA,
@@ -70,7 +69,6 @@ __all__ = [
     "dp_tables",
     "resolve_kernel",
     "resolve_table_kernel",
-    "set_default_kernel",
     "APPROX_DELTA",
     "APPROX_MAX_RUNGS",
     "ApproxDP",

@@ -49,7 +49,6 @@ the partition package can depend on it without cycles.
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -61,7 +60,6 @@ __all__ = [
     "dp_tables",
     "resolve_kernel",
     "resolve_table_kernel",
-    "set_default_kernel",
 ]
 
 #: Supported kernel names.  ``auto`` (the default) runs ``exact_dc`` up
@@ -77,10 +75,6 @@ EXACT_KERNELS = ("exact_dc", "exact_blocked", "reference")
 #: the approximate (1+delta) engine above this many bins.
 AUTO_APPROX_THRESHOLD = 8192
 
-#: Environment variable overriding the default kernel (benchmark runs
-#: flip it without touching call sites).
-KERNEL_ENV = "REPRO_PARTITION_KERNEL"
-
 #: Below this many prefixes a divide-and-conquer node switches to one
 #: vectorized block scan; tuned so numpy call overhead, not element
 #: work, stops dominating.  Exactness does not depend on the value.
@@ -91,27 +85,11 @@ _LEAF = 64
 #: candidate matrix is read from main memory once per prefix.
 _CHUNK_BYTES = 2 << 20
 
-_default_kernel = "auto"
-
-
-def set_default_kernel(kernel: str) -> str:
-    """Set the process-wide default kernel; returns the previous one."""
-    global _default_kernel
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    previous = _default_kernel
-    _default_kernel = kernel
-    return previous
-
 
 def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """Resolve an explicit kernel name, the env override, or the default.
-
-    Precedence: explicit argument > ``REPRO_PARTITION_KERNEL`` env var >
-    process default (``auto``).
-    """
+    """Validate a kernel name; ``None`` means ``auto``."""
     if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV) or _default_kernel
+        kernel = "auto"
     if kernel not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     return kernel

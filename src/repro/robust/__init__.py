@@ -19,7 +19,7 @@ journal format, and the determinism-under-retry argument.
 """
 
 from repro.robust.atomicio import RecordLog, atomic_write_text
-from repro.robust.executor import run_supervised, supervise
+from repro.robust.executor import supervise
 from repro.robust.faults import FaultPlan, FaultRule, InjectedFault
 from repro.robust.journal import CheckpointJournal, spec_fingerprint
 from repro.robust.records import FailedRecord, is_failed
@@ -27,7 +27,6 @@ from repro.robust.records import FailedRecord, is_failed
 __all__ = [
     "atomic_write_text",
     "RecordLog",
-    "run_supervised",
     "supervise",
     "FaultPlan",
     "FaultRule",

@@ -31,8 +31,8 @@ sweep through one supervisor and one process pool, in waves of at most
   honored on resume by default; ``retry_failed=True`` gives them fresh
   attempts instead (e.g. after fixing a transient environment problem).
 
-:func:`run_supervised` (and :func:`repro.experiments.runner.run_matrix`
-on top of it) is the one-spec sweep of the same routine.
+:func:`repro.experiments.runner.run_matrix` is the one-spec sweep of
+the same routine.
 
 Determinism under retry
 -----------------------
@@ -81,7 +81,7 @@ from repro.exceptions import (
 from repro.robust.journal import CheckpointJournal, spec_fingerprint
 from repro.robust.records import FailedRecord
 
-__all__ = ["supervise", "run_supervised", "BACKOFF_CAP"]
+__all__ = ["supervise", "BACKOFF_CAP"]
 
 #: Upper bound on a single retry backoff sleep, in seconds.
 BACKOFF_CAP = 30.0
@@ -672,9 +672,3 @@ def supervise(
         for index, spec in enumerate(supervisor.specs)
     ]
 
-
-def run_supervised(spec: Any, n_jobs: Optional[int] = None,
-                   **options: Any) -> List[Any]:
-    """One spec's seeds under supervision: a one-spec :func:`supervise`
-    (same options); ``n_jobs`` defaults to ``spec.n_jobs``."""
-    return supervise([spec], n_jobs, **options)[0]

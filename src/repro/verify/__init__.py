@@ -5,8 +5,8 @@ cannot catch a mis-calibrated noise scale or a wrong budget split.  This
 subpackage supplies the correctness layer:
 
 * :mod:`repro.verify.oracles` — closed-form per-bin and range-query
-  error formulas for every publisher (``expected_variance`` is the
-  one-call dispatcher);
+  error formulas for every publisher (``oracle_from_result`` builds the
+  oracle of one publish through the ``ORACLE_BUILDERS`` table);
 * :mod:`repro.verify.stats` — KS / chi-square goodness-of-fit tests for
   the mechanism distributions, with Bonferroni control;
 * :mod:`repro.verify.streams` — deterministic named RNG streams so any
@@ -31,8 +31,6 @@ from repro.verify.calibration import (
 from repro.verify.linearity import (
     linear_operator_matrix,
     output_covariance,
-    range_variance_from_covariance,
-    unit_variances_from_covariance,
 )
 from repro.verify.oracles import (
     ORACLE_BUILDERS,
@@ -41,7 +39,6 @@ from repro.verify.oracles import (
     boost_oracle,
     dawa_oracle,
     dwork_oracle,
-    expected_variance,
     fourier_oracle,
     identity2d_oracle,
     mwem_full_range_oracle,
@@ -75,7 +72,6 @@ __all__ = [
     # oracles
     "ErrorOracle",
     "ORACLE_BUILDERS",
-    "expected_variance",
     "oracle_from_result",
     "dwork_oracle",
     "uniform_flat_oracle",
@@ -109,8 +105,6 @@ __all__ = [
     # linearity
     "linear_operator_matrix",
     "output_covariance",
-    "unit_variances_from_covariance",
-    "range_variance_from_covariance",
     # special functions
     "chi2_sf",
     "kolmogorov_sf",

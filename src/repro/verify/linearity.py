@@ -9,8 +9,10 @@ variances ``v_j``, the output covariance is exactly
 
 ``linear_operator_matrix`` materializes ``A`` by feeding basis vectors
 through the estimator (exact for any linear map, and cheap at the domain
-sizes calibration tests use); the helpers below turn ``A`` and the
-measurement variances into per-bin variances and range-sum variances.
+sizes calibration tests use); ``output_covariance`` turns ``A`` and the
+measurement variances into ``Sigma``, from which
+:class:`~repro.verify.oracles.ErrorOracle` reads per-bin and range-sum
+variances.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import numpy as np
 __all__ = [
     "linear_operator_matrix",
     "output_covariance",
-    "unit_variances_from_covariance",
-    "range_variance_from_covariance",
 ]
 
 
@@ -79,23 +79,3 @@ def output_covariance(
     if np.any(v < 0):
         raise ValueError("noise variances must be >= 0")
     return (a * v) @ a.T
-
-
-def unit_variances_from_covariance(covariance: np.ndarray) -> np.ndarray:
-    """Per-bin variances: the diagonal of the output covariance."""
-    cov = np.asarray(covariance, dtype=np.float64)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {cov.shape}")
-    return np.diag(cov).copy()
-
-
-def range_variance_from_covariance(
-    covariance: np.ndarray, lo: int, hi: int
-) -> float:
-    """Variance of the range sum ``x_hat[lo..hi]`` (inclusive)."""
-    cov = np.asarray(covariance, dtype=np.float64)
-    n = cov.shape[0]
-    if not 0 <= lo <= hi < n:
-        raise ValueError(f"range [{lo}, {hi}] outside covariance of size {n}")
-    block = cov[lo : hi + 1, lo : hi + 1]
-    return float(block.sum())

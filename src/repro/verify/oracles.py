@@ -22,6 +22,14 @@ structure is deterministic (or conditioned on, via publish metadata) and
 their covariance by exact basis propagation through the very code that
 publishes — see :mod:`repro.verify.linearity` — so a mis-implemented
 transform shows up as a calibration failure, not a silently wrong test.
+
+This module is the library's one closed-form error model.
+:data:`ORACLE_BUILDERS` maps a publisher name to the oracle of one
+realized publish, read off its ``meta``; the history radar, the
+calibration suite, ``repro verify`` and the ``abl_error_model``
+ablation all go through it.  Only
+:class:`~repro.core.engine.RangeEngine` keeps its own ``O(k)`` range
+law, because an oracle holds an ``n x n`` covariance.
 """
 
 from __future__ import annotations
@@ -66,7 +74,6 @@ __all__ = [
     "identity2d_oracle",
     "uniformgrid_oracle",
     "uniform_stream_oracle",
-    "expected_variance",
     "oracle_from_result",
     "OracleCache",
     "ORACLE_BUILDERS",
@@ -288,10 +295,11 @@ def privelet_oracle(n: int, epsilon: float) -> ErrorOracle:
     ``rho = 1 + L/2`` and ``lambda = rho/eps`` (Xiao et al., ICDE 2010,
     Section 4), the base coefficient carries ``Lap(lambda/m)`` and a
     level-``l`` detail ``Lap(lambda / 2^(l-1))``.  The reconstruction is
-    linear, so the covariance is exact; its diagonal reproduces the
-    closed-form per-bin variance in
-    :func:`repro.analysis.variance.privelet_unit_variance`, and its
-    range sums realize the ``O(log^3 n / eps^2)`` range-query bound.
+    linear, so the covariance is exact; a leaf sums the base and one
+    detail per level (signs square away), so its diagonal is the same
+    closed form for every bin, ``2 lambda^2 (1/m^2 + sum_l 4^-(l-1))``,
+    and its range sums realize the ``O(log^3 n / eps^2)`` range-query
+    bound.
     """
     return _privelet_oracle(n, epsilon, _uncached)
 
@@ -644,145 +652,88 @@ def uniform_stream_oracle(n: int, epsilon: float, w: int) -> ErrorOracle:
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher
+# Dispatch: one publish's oracle, read off its metadata
 # ---------------------------------------------------------------------------
 
-def _build_dwork(histogram, epsilon, **kw):
-    return dwork_oracle(histogram.size, epsilon,
-                        sensitivity=kw.get("sensitivity", 1.0))
+def _dwork(histogram, epsilon, meta, memo) -> ErrorOracle:
+    n = histogram.size
+    return memo(("dwork", n, epsilon), lambda: dwork_oracle(n, epsilon))
 
 
-def _build_uniform(histogram, epsilon, **kw):
+def _uniform(histogram, epsilon, meta, memo) -> ErrorOracle:
     return uniform_flat_oracle(histogram.counts, epsilon)
 
 
-def _build_boost(histogram, epsilon, **kw):
-    return boost_oracle(histogram.size, epsilon,
-                        branching=kw.get("branching", 2),
-                        consistency=kw.get("consistency", True))
+def _boost(histogram, epsilon, meta, memo) -> ErrorOracle:
+    n = histogram.size
+    branching = int(meta.get("branching", 2))
+    consistency = bool(meta.get("consistency", True))
+    return memo(
+        ("boost", n, epsilon, branching, consistency),
+        lambda: _boost_oracle(n, epsilon, branching, consistency, memo),
+    )
 
 
-def _build_privelet(histogram, epsilon, **kw):
-    return privelet_oracle(histogram.size, epsilon)
+def _privelet(histogram, epsilon, meta, memo) -> ErrorOracle:
+    n = histogram.size
+    return memo(("privelet", n, epsilon),
+                lambda: _privelet_oracle(n, epsilon, memo))
 
 
-def _require_partition(kw, histogram, name):
-    partition = kw.get("partition")
-    if partition is None:
-        raise ValueError(
-            f"the {name} oracle is conditional on a partition; pass "
-            "partition=... (e.g. from the publish metadata)"
-        )
-    return partition
+def _noisefirst(histogram, epsilon, meta, memo) -> ErrorOracle:
+    partition = meta.get("partition")
+    if partition is None:  # adaptive NF fell back to the identity
+        return _dwork(histogram, epsilon, meta, memo)
+    return noisefirst_oracle(histogram.counts, partition, epsilon)
 
 
-def _build_noisefirst(histogram, epsilon, **kw):
-    partition = _require_partition(kw, histogram, "noisefirst")
-    return noisefirst_oracle(histogram.counts, partition, epsilon,
-                             sensitivity=kw.get("sensitivity", 1.0))
+def _structurefirst(histogram, epsilon, meta, memo) -> ErrorOracle:
+    return structurefirst_oracle(
+        histogram.counts, meta["partition"], meta["eps_noise"]
+    )
 
 
-def _build_structurefirst(histogram, epsilon, **kw):
-    partition = _require_partition(kw, histogram, "structurefirst")
-    eps_noise = kw.get("eps_noise", epsilon)
-    return structurefirst_oracle(histogram.counts, partition, eps_noise)
+def _dawa(histogram, epsilon, meta, memo) -> ErrorOracle:
+    return _dawa_oracle(
+        histogram.counts,
+        meta["partition"],
+        meta["eps_measure"],
+        int(meta.get("branching", 2)),
+        memo,
+    )
 
 
-def _build_dawa(histogram, epsilon, **kw):
-    partition = _require_partition(kw, histogram, "dawa-lite")
-    return dawa_oracle(histogram.counts, partition,
-                       eps_measure=kw.get("eps_measure", epsilon),
-                       branching=kw.get("branching", 2))
+def _ahp(histogram, epsilon, meta, memo) -> ErrorOracle:
+    return ahp_oracle(histogram.counts, meta["cluster_bins"],
+                      meta["eps_counts"])
 
 
-def _build_ahp(histogram, epsilon, **kw):
-    clusters = kw.get("cluster_bins")
-    if clusters is None:
-        raise ValueError(
-            "the ahp oracle is conditional on cluster_bins=... "
-            "(from the publish metadata)"
-        )
-    return ahp_oracle(histogram.counts, clusters,
-                      eps_counts=kw.get("eps_counts", epsilon))
+def _fourier(histogram, epsilon, meta, memo) -> ErrorOracle:
+    return fourier_oracle(histogram.counts, int(meta["k"]),
+                          meta["eps_noise"])
 
 
-def _build_fourier(histogram, epsilon, **kw):
-    k = kw.get("k")
-    if k is None:
-        raise ValueError("the fourier oracle is conditional on k=...")
-    return fourier_oracle(histogram.counts, k,
-                          eps_noise=kw.get("eps_noise", epsilon))
+def _mwem(histogram, epsilon, meta, memo) -> ErrorOracle:
+    return mwem_full_range_oracle(
+        histogram.counts, public_total=meta.get("public_total")
+    )
 
 
-def _build_mwem(histogram, epsilon, **kw):
-    return mwem_full_range_oracle(histogram.counts,
-                                  public_total=kw.get("public_total"))
-
-
-#: Publisher name -> oracle builder ``(histogram, epsilon, **kw) -> ErrorOracle``.
+#: Publisher name -> ``(histogram, epsilon, meta, memo) -> ErrorOracle``:
+#: the oracle of one realized publish, from the structure and budget
+#: split its ``meta`` records (see :func:`oracle_from_result`).
 ORACLE_BUILDERS: Dict[str, Callable[..., ErrorOracle]] = {
-    "dwork": _build_dwork,
-    "uniform": _build_uniform,
-    "boost": _build_boost,
-    "privelet": _build_privelet,
-    "noisefirst": _build_noisefirst,
-    "structurefirst": _build_structurefirst,
-    "dawa-lite": _build_dawa,
-    "ahp": _build_ahp,
-    "fourier": _build_fourier,
-    "mwem": _build_mwem,
+    "dwork": _dwork,
+    "uniform": _uniform,
+    "boost": _boost,
+    "privelet": _privelet,
+    "noisefirst": _noisefirst,
+    "structurefirst": _structurefirst,
+    "dawa-lite": _dawa,
+    "ahp": _ahp,
+    "fourier": _fourier,
+    "mwem": _mwem,
 }
-
-
-def expected_variance(
-    publisher: Union[str, Publisher],
-    workload: "Workload | str",
-    epsilon: float,
-    k: Optional[int] = None,
-    n: Optional[int] = None,
-    histogram: Optional[Histogram] = None,
-    **kwargs,
-) -> float:
-    """Analytic expected workload MSE of a publisher configuration.
-
-    Parameters
-    ----------
-    publisher:
-        Publisher instance or registered name (see ``ORACLE_BUILDERS``).
-    workload:
-        A :class:`~repro.workloads.Workload`, or ``"unit"`` for the
-        point-query workload.
-    epsilon:
-        Total privacy budget of the release.
-    k, n, histogram:
-        Structure hints.  ``histogram`` supplies the true counts (needed
-        by bias-carrying oracles); when omitted, a zero histogram of
-        size ``n`` (or the workload's size) stands in, which is exact
-        for the unbiased publishers.  ``k`` forwards to conditional
-        oracles as their bucket/coefficient count.
-    kwargs:
-        Oracle-specific conditionals (``partition=``, ``cluster_bins=``,
-        ``eps_noise=``, ...), typically read off publish metadata.
-    """
-    name = publisher.name if isinstance(publisher, Publisher) else str(publisher)
-    try:
-        builder = ORACLE_BUILDERS[name]
-    except KeyError:
-        raise KeyError(
-            f"no oracle registered for publisher {name!r}; have "
-            f"{sorted(ORACLE_BUILDERS)}"
-        ) from None
-    if histogram is None:
-        if n is None:
-            if isinstance(workload, Workload):
-                n = workload.n
-            else:
-                raise ValueError("pass histogram= or n= to size the oracle")
-        histogram = Histogram.from_counts(np.zeros(n))
-    if k is not None:
-        kwargs.setdefault("k", k)
-    oracle = builder(histogram, epsilon, **kwargs)
-    return oracle.workload_mse(workload)
 
 
 def oracle_from_result(
@@ -812,53 +763,14 @@ def oracle_from_result(
 def _from_result(publisher, histogram, epsilon, result,
                  memo: "Memo") -> ErrorOracle:
     name = publisher.name if isinstance(publisher, Publisher) else str(publisher)
-    meta = result.meta
-    counts = histogram.counts
-    n = histogram.size
-    if name == "dwork":
-        return memo(("dwork", n, epsilon), lambda: dwork_oracle(n, epsilon))
-    if name == "uniform":
-        return uniform_flat_oracle(counts, epsilon)
-    if name == "boost":
-        branching = int(meta.get("branching", 2))
-        consistency = bool(meta.get("consistency", True))
-        return memo(
-            ("boost", n, epsilon, branching, consistency),
-            lambda: _boost_oracle(n, epsilon, branching, consistency, memo),
-        )
-    if name == "privelet":
-        return memo(("privelet", n, epsilon),
-                    lambda: _privelet_oracle(n, epsilon, memo))
-    if name == "noisefirst":
-        partition = meta.get("partition")
-        if partition is None:  # adaptive NF fell back to the identity
-            return memo(("dwork", n, epsilon),
-                        lambda: dwork_oracle(n, epsilon))
-        return noisefirst_oracle(counts, partition, epsilon)
-    if name == "structurefirst":
-        return structurefirst_oracle(
-            counts, meta["partition"], meta["eps_noise"]
-        )
-    if name == "dawa-lite":
-        return _dawa_oracle(
-            counts,
-            meta["partition"],
-            meta["eps_measure"],
-            int(meta.get("branching", 2)),
-            memo,
-        )
-    if name == "ahp":
-        return ahp_oracle(counts, meta["cluster_bins"], meta["eps_counts"])
-    if name == "fourier":
-        return fourier_oracle(counts, int(meta["k"]), meta["eps_noise"])
-    if name == "mwem":
-        return mwem_full_range_oracle(
-            counts, public_total=meta.get("public_total")
-        )
-    raise KeyError(
-        f"no conditional oracle for publisher {name!r}; have "
-        f"{sorted(ORACLE_BUILDERS)}"
-    )
+    try:
+        build = ORACLE_BUILDERS[name]
+    except KeyError:
+        raise KeyError(
+            f"no conditional oracle for publisher {name!r}; have "
+            f"{sorted(ORACLE_BUILDERS)}"
+        ) from None
+    return build(histogram, epsilon, result.meta, memo)
 
 
 # ---------------------------------------------------------------------------

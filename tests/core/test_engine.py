@@ -1,12 +1,17 @@
 """Tests for the RangeEngine (answers + error bars)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.boost import Boost
 from repro.baselines.dwork import DworkIdentity
 from repro.core import NoiseFirst, RangeEngine, StructureFirst
 from repro.hist.histogram import Histogram
+from repro.verify.oracles import oracle_from_result
 
 
 @pytest.fixture
@@ -120,3 +125,40 @@ class TestCalibration:
             low, high = RangeEngine(result).range(lo, hi).interval()
             covered += int(low <= truth <= high)
         assert 0.90 <= covered / n_runs <= 0.995
+
+
+#: (oracle name, publisher factory taking a bucket count).
+_WITH_ERROR_MODEL = [
+    ("noisefirst", lambda k: NoiseFirst()),
+    ("noisefirst", lambda k: NoiseFirst(k=k)),
+    ("structurefirst", lambda k: StructureFirst(k=k)),
+    ("dwork", lambda k: DworkIdentity()),
+]
+
+
+@st.composite
+def _range_on_a_publish(draw):
+    counts = draw(st.lists(st.integers(0, 60), min_size=1, max_size=16))
+    n = len(counts)
+    name, factory = draw(st.sampled_from(_WITH_ERROR_MODEL))
+    k = draw(st.integers(1, n))
+    epsilon = draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+    seed = draw(st.integers(0, 2**16))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo, n - 1))
+    hist = Histogram.from_counts(np.asarray(counts, dtype=float))
+    return name, factory(k), hist, epsilon, seed, lo, hi
+
+
+class TestAgreesWithOracle:
+    """The engine's per-bucket range law is the oracle's covariance sum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_range_on_a_publish())
+    def test_std_squared_is_the_oracle_range_variance(self, case):
+        name, publisher, hist, epsilon, seed, lo, hi = case
+        result = publisher.publish(hist, budget=epsilon, rng=seed)
+        engine = RangeEngine(result).range(lo, hi).std ** 2
+        oracle = oracle_from_result(name, hist, epsilon, result)
+        assert math.isclose(engine, oracle.range_variance(lo, hi),
+                            rel_tol=1e-12)

@@ -1,10 +1,9 @@
-"""Kernel selection: env precedence, default restore, pool determinism.
+"""Kernel selection: the default, auto collapse, pool determinism.
 
-``resolve_kernel`` resolves in strict precedence order — explicit
-argument, then ``REPRO_PARTITION_KERNEL``, then the process default —
-and ``resolve_table_kernel`` collapses ``auto`` to a concrete engine by
-domain size.  The approx engine itself is RNG-free, so the same
-histogram must produce bit-identical sparse tables in every
+``resolve_kernel`` returns an explicit kernel name and ``auto`` for
+``None``, and ``resolve_table_kernel`` collapses ``auto`` to a concrete
+engine by domain size.  The approx engine itself is RNG-free, so the
+same histogram must produce bit-identical sparse tables in every
 process-pool worker.
 """
 
@@ -12,65 +11,17 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-import pytest
 
 from repro.perf.kernels import (
     AUTO_APPROX_THRESHOLD,
-    KERNEL_ENV,
     KERNELS,
     resolve_kernel,
     resolve_table_kernel,
-    set_default_kernel,
 )
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-
-
 class TestPrecedence:
-    def test_explicit_beats_everything(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "exact_blocked")
-        assert resolve_kernel("approx") == "approx"
-
     def test_default_when_nothing_set(self):
-        assert resolve_kernel(None) == "auto"
-
-    def test_empty_env_values_fall_through(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "")
-        assert resolve_kernel(None) == "auto"
-
-    def test_invalid_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "warp-drive")
-        with pytest.raises(ValueError, match="kernel must be one of"):
-            resolve_kernel(None)
-
-
-class TestDefaultRestore:
-    def test_set_default_returns_previous(self):
-        previous = set_default_kernel("reference")
-        try:
-            assert previous == "auto"
-            assert resolve_kernel(None) == "reference"
-        finally:
-            assert set_default_kernel(previous) == "reference"
-        assert resolve_kernel(None) == "auto"
-
-    def test_nested_set_restore(self):
-        outer = set_default_kernel("exact_blocked")
-        inner = set_default_kernel("approx")
-        try:
-            assert inner == "exact_blocked"
-            assert resolve_kernel(None) == "approx"
-        finally:
-            set_default_kernel(inner)
-            set_default_kernel(outer)
-        assert resolve_kernel(None) == "auto"
-
-    def test_invalid_default_rejected_and_state_unchanged(self):
-        with pytest.raises(ValueError):
-            set_default_kernel("nope")
         assert resolve_kernel(None) == "auto"
 
 
@@ -90,9 +41,10 @@ class TestAutoCollapse:
             assert resolve_table_kernel(kernel, 10) == kernel
             assert resolve_table_kernel(kernel, 1 << 20) == kernel
 
-    def test_env_steers_table_resolution(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "approx")
-        assert resolve_table_kernel(None, 16) == "approx"
+    def test_none_collapses_like_auto(self):
+        assert resolve_table_kernel(None, 16) == "exact_dc"
+        assert resolve_table_kernel(None, AUTO_APPROX_THRESHOLD + 1) \
+            == "approx"
 
 
 def _worker_digest(payload):

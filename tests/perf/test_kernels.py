@@ -15,13 +15,7 @@ from hypothesis import strategies as st
 
 from repro.partition.sae import l1_voptimal_table, sae_matrix
 from repro.partition.voptimal import voptimal_partition, voptimal_table
-from repro.perf.kernels import (
-    KERNEL_ENV,
-    KERNELS,
-    dp_tables,
-    resolve_kernel,
-    set_default_kernel,
-)
+from repro.perf.kernels import KERNELS, dp_tables, resolve_kernel
 from repro.perf.costrows import PrefixSSECost
 
 counts_strategy = st.lists(
@@ -138,31 +132,11 @@ class TestDispatch:
             "approx",
         )
 
-    def test_resolve_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "reference")
-        assert resolve_kernel("exact_blocked") == "exact_blocked"
-        assert resolve_kernel(None) == "reference"
-
-    def test_resolve_env_beats_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve_kernel(None) == "auto"
-        monkeypatch.setenv(KERNEL_ENV, "exact_blocked")
-        assert resolve_kernel(None) == "exact_blocked"
-
-    def test_set_default_kernel_roundtrip(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        previous = set_default_kernel("reference")
-        try:
-            assert resolve_kernel(None) == "reference"
-        finally:
-            set_default_kernel(previous)
-        assert resolve_kernel(None) == previous
-
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
             resolve_kernel("smawk")
         with pytest.raises(ValueError, match="kernel"):
-            set_default_kernel("")
+            resolve_kernel("")
 
 
 class TestBacktrackEdges:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.verify.oracles import ORACLE_BUILDERS
 
 
 class TestCli:
@@ -102,3 +103,14 @@ class TestEachCommandTakesOnlyItsFlags:
         assert main(["table1", "--help"]) == 0
         out = capsys.readouterr().out
         assert "--quick" in out and "--journal" not in out
+
+
+class TestVerify:
+    @pytest.mark.parametrize("publisher", sorted(ORACLE_BUILDERS))
+    def test_every_oracle_publisher_calibrates(self, capsys, publisher):
+        code = main(["verify", "--publisher", publisher, "--trials", "20",
+                     "--bins", "32"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert f"verify {publisher} " in out
+        assert "[OK]" in out

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.verify.linearity import (
-    linear_operator_matrix,
-    output_covariance,
-    range_variance_from_covariance,
-    unit_variances_from_covariance,
-)
+from repro.verify.linearity import linear_operator_matrix, output_covariance
 
 
 class TestLinearOperatorMatrix:
@@ -66,20 +61,3 @@ class TestOutputCovariance:
     def test_negative_variance_raises(self):
         with pytest.raises(ValueError):
             output_covariance(np.eye(2), [1.0, -1.0])
-
-
-class TestCovarianceReaders:
-    def test_unit_variances_are_diagonal(self):
-        cov = np.array([[2.0, 1.0], [1.0, 3.0]])
-        np.testing.assert_allclose(
-            unit_variances_from_covariance(cov), [2.0, 3.0]
-        )
-
-    def test_range_variance_includes_cross_terms(self):
-        cov = np.array([[2.0, 1.0], [1.0, 3.0]])
-        # Var[x0 + x1] = 2 + 3 + 2*1 = 7.
-        assert range_variance_from_covariance(cov, 0, 1) == pytest.approx(7.0)
-
-    def test_range_bounds_checked(self):
-        with pytest.raises(ValueError):
-            range_variance_from_covariance(np.eye(3), 1, 3)

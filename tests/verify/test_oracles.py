@@ -1,20 +1,14 @@
 """Structural tests of the closed-form error oracles.
 
 Statistical (Monte-Carlo) validation lives in ``test_calibration.py``;
-these tests pin the oracles' *algebra*: known closed forms, internal
-consistency with ``repro.analysis.variance``, covariance structure, and
-the dispatcher's error paths.
+these tests pin the oracles' *algebra*: known closed forms (``2L/eps^2``,
+``sigma^2/w``, ``sigma_n^2/w^2``, the Privelet level sum), covariance
+structure, and the dispatch table's error paths.
 """
 
 import numpy as np
 import pytest
 
-from repro.analysis.variance import (
-    dwork_range_variance,
-    noisefirst_unit_variance,
-    privelet_unit_variance,
-    structurefirst_unit_variance,
-)
 from repro.baselines import Boost, DworkIdentity
 from repro.hist.histogram import Histogram
 from repro.partition.partition import Partition
@@ -25,7 +19,6 @@ from repro.verify.oracles import (
     boost_oracle,
     dawa_oracle,
     dwork_oracle,
-    expected_variance,
     fourier_oracle,
     mwem_full_range_oracle,
     noisefirst_oracle,
@@ -74,13 +67,19 @@ class TestDworkOracle:
         np.testing.assert_allclose(oracle.per_bin_variance, 8.0)
         assert oracle.unit_mse() == pytest.approx(8.0)
 
-    def test_range_law_matches_analysis_module(self):
+    def test_range_law_is_linear_in_length(self):
         # The 2L/eps^2 law of the paper's Section 2.
         oracle = dwork_oracle(32, 0.1)
         for length in (1, 5, 32):
             assert oracle.range_variance(0, length - 1) == pytest.approx(
-                dwork_range_variance(0.1, length)
+                2.0 * length / 0.1**2
             )
+
+    def test_prefix_workload(self):
+        # Prefix ranges of lengths 1..n: mean variance = 2/eps^2 * (n+1)/2.
+        n, eps = 8, 0.5
+        got = dwork_oracle(n, eps).workload_mse(prefix_ranges(n))
+        assert got == pytest.approx(2.0 / eps**2 * (n + 1) / 2.0)
 
     def test_off_diagonal_zero(self):
         cov = dwork_oracle(8, 1.0).covariance
@@ -128,13 +127,28 @@ class TestBoostOracle:
         assert full < independent / 2.0
 
 
+def _privelet_level_sum(n, eps):
+    """Per-bin variance of Privelet over ``n`` bins padded to ``m = 2^L``:
+    the base ``Lap(lambda/m)`` plus one ``Lap(lambda/2^(l-1))`` detail
+    per level, ``lambda = (1 + L/2) / eps``."""
+    m = 1
+    while m < n:
+        m *= 2
+    levels = m.bit_length() - 1
+    lam = (1.0 + levels / 2.0) / eps
+    return 2.0 * lam**2 * (
+        1.0 / m**2 + sum(4.0 ** -(level - 1)
+                         for level in range(1, levels + 1))
+    )
+
+
 class TestPriveletOracle:
     def test_diagonal_matches_analysis_closed_form(self):
-        for n in (8, 16, 32):
+        for n in (8, 12, 16, 32):
             oracle = privelet_oracle(n, 0.4)
             np.testing.assert_allclose(
                 oracle.per_bin_variance,
-                privelet_unit_variance(n, 0.4),
+                _privelet_level_sum(n, 0.4),
                 rtol=1e-10,
             )
 
@@ -147,9 +161,10 @@ class TestPartitionOracles:
         counts = np.array([4.0, 4.0, 10.0, 10.0, 10.0, 2.0])
         partition = Partition(n=6, boundaries=(2, 5))
         oracle = noisefirst_oracle(counts, partition, 0.5)
+        # sigma^2 / w with sigma^2 = 2/eps^2 = 8 and widths 2, 3, 1.
         np.testing.assert_allclose(
             oracle.per_bin_variance,
-            noisefirst_unit_variance(partition, 0.5),
+            [8.0 / 2, 8.0 / 2, 8.0 / 3, 8.0 / 3, 8.0 / 3, 8.0],
         )
         np.testing.assert_allclose(
             oracle.per_bin_bias, partition.apply_means(counts) - counts
@@ -166,9 +181,10 @@ class TestPartitionOracles:
     def test_structurefirst_matches_analysis_variances(self):
         partition = Partition(n=8, boundaries=(3, 6))
         oracle = structurefirst_oracle(np.zeros(8), partition, 0.25)
+        # sigma_n^2 / w^2 with sigma_n^2 = 2/eps_n^2 = 32, widths 3, 3, 2.
         np.testing.assert_allclose(
             oracle.per_bin_variance,
-            structurefirst_unit_variance(partition, 0.25),
+            [32.0 / 9] * 6 + [32.0 / 4] * 2,
         )
 
     def test_structurefirst_range_noise_cancels_inside_bucket(self):
@@ -177,6 +193,17 @@ class TestPartitionOracles:
         partition = Partition(n=8, boundaries=(4,))
         oracle = structurefirst_oracle(np.zeros(8), partition, 0.5)
         assert oracle.range_variance(0, 3) == pytest.approx(2.0 / 0.25)
+
+    def test_range_noise_over_part_of_a_bucket(self):
+        # m of a bucket's w bins: (m/w)^2 * 2/eps_n^2 under StructureFirst,
+        # m^2 * 2/(eps^2 w) under NoiseFirst (one shared draw either way).
+        partition = Partition(n=8, boundaries=(4,))
+        sf = structurefirst_oracle(np.zeros(8), partition, 0.5)
+        nf = noisefirst_oracle(np.zeros(8), partition, 0.5)
+        assert sf.range_variance(2, 5) == pytest.approx(
+            2 * (2 / 4) ** 2 * 8.0
+        )
+        assert nf.range_variance(2, 5) == pytest.approx(2 * 2**2 * 8.0 / 4)
 
     def test_size_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -251,39 +278,6 @@ class TestMwemOracle:
         )
 
 
-class TestExpectedVarianceDispatcher:
-    def test_every_registered_publisher_has_a_builder(self):
-        assert set(ORACLE_BUILDERS) == {
-            "dwork", "uniform", "boost", "privelet", "noisefirst",
-            "structurefirst", "dawa-lite", "ahp", "fourier", "mwem",
-        }
-
-    def test_dwork_unit_by_name(self):
-        assert expected_variance("dwork", "unit", 0.5, n=8) == pytest.approx(8.0)
-
-    def test_dwork_prefix_workload(self):
-        # Prefix ranges of lengths 1..n: mean variance = 2/eps^2 * (n+1)/2.
-        n, eps = 8, 0.5
-        got = expected_variance("dwork", prefix_ranges(n), eps, n=n)
-        assert got == pytest.approx(2.0 / eps**2 * (n + 1) / 2.0)
-
-    def test_accepts_publisher_instance(self):
-        got = expected_variance(DworkIdentity(), "unit", 1.0, n=4)
-        assert got == pytest.approx(2.0)
-
-    def test_unknown_publisher_raises(self):
-        with pytest.raises(KeyError, match="no oracle"):
-            expected_variance("quantum", "unit", 1.0, n=4)
-
-    def test_conditional_oracle_requires_structure(self):
-        with pytest.raises(ValueError, match="partition"):
-            expected_variance("noisefirst", "unit", 1.0, n=8)
-
-    def test_needs_some_size_hint(self):
-        with pytest.raises(ValueError, match="size"):
-            expected_variance("dwork", "unit", 1.0)
-
-
 class TestOracleFromResult:
     def test_boost_reads_config_from_meta(self):
         hist = Histogram.from_counts(np.arange(16, dtype=float))
@@ -298,3 +292,15 @@ class TestOracleFromResult:
         result = DworkIdentity().publish(hist, budget=1.0, rng=0)
         with pytest.raises(KeyError):
             oracle_from_result("nope", hist, 1.0, result)
+
+    def test_accepts_publisher_instance(self):
+        hist = Histogram.from_counts(np.zeros(4))
+        result = DworkIdentity().publish(hist, budget=1.0, rng=0)
+        oracle = oracle_from_result(DworkIdentity(), hist, 1.0, result)
+        assert oracle.unit_mse() == pytest.approx(2.0)
+
+    def test_every_registered_publisher_has_a_builder(self):
+        assert set(ORACLE_BUILDERS) == {
+            "dwork", "uniform", "boost", "privelet", "noisefirst",
+            "structurefirst", "dawa-lite", "ahp", "fourier", "mwem",
+        }
