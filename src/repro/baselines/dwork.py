@@ -41,4 +41,5 @@ class DworkIdentity(Publisher):
         accountant.spend(accountant.total, purpose="laplace-noise-per-bin")
         mech = LaplaceMechanism(sensitivity=self.sensitivity)
         noisy = mech.release(histogram.counts, epsilon, rng=rng)
-        return noisy, {"noise_variance": mech.variance(epsilon)}
+        return noisy, {"noise_variance": mech.variance(epsilon),
+                       "neighbours": self.neighbours}

@@ -136,12 +136,10 @@ def _ingest(args: argparse.Namespace) -> int:
 
 
 def _drift(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs.drift import (
         detect_drift,
         has_confirmed_drift,
-        render_verdicts,
+        render_verdicts_text,
     )
     from repro.obs.history import HistoryStore
     from repro.robust.atomicio import atomic_write_text
@@ -152,9 +150,7 @@ def _drift(args: argparse.Namespace) -> int:
             band_z=args.band_z, cusum_h=args.cusum_h,
         )
     if args.json:
-        doc = render_verdicts(verdicts)
-        atomic_write_text(Path(args.json),
-                          json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        atomic_write_text(Path(args.json), render_verdicts_text(verdicts))
         print(f"wrote {args.json}")
     by_status: Dict[str, int] = {}
     for verdict in verdicts:

@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.core.publisher import PublishResult
 from repro.hist.ranges import RangeQuery
+from repro.mechanisms.sensitivity import contract_sensitivity
 from repro.partition.partition import Partition
 
 __all__ = ["RangeAnswer", "RangeEngine"]
@@ -98,11 +99,13 @@ class RangeEngine:
             return total
         if "adaptive" in meta:
             # NoiseFirst: every bin of bucket B publishes the mean of w_B
-            # Lap(1/eps) draws, one shared noise of variance
-            # 2/(eps^2 w_B), so a range over m_B of them carries
-            # m_B^2 * 2/(eps^2 w_B).  With no partition (k = n) this is
-            # the identity law.
-            sigma2 = 2.0 / (epsilon * epsilon)
+            # Lap(sens/eps) draws, one shared noise of variance
+            # sigma2/w_B with sigma2 = 2 sens^2/eps^2, so a range over m_B
+            # of them carries m_B^2 * sigma2/w_B.  With no partition
+            # (k = n) this is the identity law.  sens is 1 under the
+            # recorded unbounded neighbours and 2 under bounded ones.
+            sens = contract_sensitivity(meta)
+            sigma2 = 2.0 / (epsilon * epsilon) * sens * sens
             if partition is None:
                 return query.length * sigma2
             total = 0.0
@@ -111,7 +114,8 @@ class RangeEngine:
             return total
         if "noise_variance" in meta:
             # DworkIdentity: independent per-bin noise, 2/eps^2 a bin at
-            # sensitivity 1, scaled to the variance the publish recorded.
+            # sensitivity 1, scaled to the variance the publish recorded
+            # (4x under bounded neighbours).
             return query.length * (2.0 * (1.0 / epsilon) ** 2) * (
                 meta["noise_variance"] / (2.0 / epsilon**2)
             )

@@ -121,6 +121,7 @@ class NoiseFirst(Publisher):
             "k": chosen_k,
             "adaptive": self.k is None,
             "partition": partition,
+            "neighbours": self.neighbours,
             "noisy_sse_by_k": None if estimates is None else table.sse_by_k.copy(),
             "error_estimates": estimates,
         }

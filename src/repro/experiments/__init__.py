@@ -1,4 +1,4 @@
-"""Experiment harness: specs, runner, aggregation, table rendering.
+"""Experiment harness: specs, runner, seed means, table rendering.
 
 The benches in ``benchmarks/`` and the CLI both drive experiments through
 :func:`repro.experiments.registry.run_experiment`, so a figure is
@@ -10,11 +10,10 @@ from repro.experiments.spec import ExperimentSpec
 from repro.experiments.runner import (
     RunRecord,
     records_equal,
-    run_matrix,
     run_once,
+    seed_mean,
     strip_timing,
 )
-from repro.experiments.aggregate import Aggregate, aggregate_records
 from repro.experiments.tables import Table, render_table
 from repro.experiments.registry import EXPERIMENTS, list_experiments, run_experiment
 from repro.robust.records import FailedRecord, is_failed
@@ -27,9 +26,7 @@ __all__ = [
     "records_equal",
     "strip_timing",
     "run_once",
-    "run_matrix",
-    "Aggregate",
-    "aggregate_records",
+    "seed_mean",
     "Table",
     "render_table",
     "EXPERIMENTS",

@@ -1,11 +1,17 @@
 """Ablation experiments probing the design choices DESIGN.md calls out.
 
 These go beyond the paper: each isolates one ingredient of NoiseFirst /
-StructureFirst / Boost and quantifies what it buys.
+StructureFirst / Boost and quantifies what it buys.  The publishing arms
+run their cells like the figures do (one
+:func:`~repro.experiments.runner.run_cells` call, read by
+:func:`~repro.experiments.runner.seed_mean`); ``abl_postprocess`` and
+``abl_shape_prior`` post-process each release themselves, and
+``abl_nf_kstar``'s oracle arm makes no publish.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 import numpy as np
@@ -13,6 +19,8 @@ import numpy as np
 from repro.baselines import Boost, DworkIdentity
 from repro.core import NoiseFirst, StructureFirst
 from repro.datasets.standard import searchlogs
+from repro.experiments.runner import run_cells, seed_mean, workload_mses
+from repro.experiments.spec import ExperimentSpec
 from repro.experiments.tables import Table
 from repro.metrics.divergences import kl_divergence
 from repro.metrics.evaluate import evaluate_workload_error
@@ -33,7 +41,7 @@ def _seeds(quick: bool) -> List[int]:
     return list(range(3 if quick else 10))
 
 
-def abl_nf_kstar(quick: bool = False) -> List[Table]:
+def abl_nf_kstar(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """NoiseFirst's adaptive k* vs fixed k vs the (non-private) oracle k.
 
     The oracle evaluates every candidate k against the *true* counts and
@@ -51,22 +59,20 @@ def abl_nf_kstar(quick: bool = False) -> List[Table]:
         notes="oracle picks argmin true error per seed (not private); "
               "adaptive must estimate it from noisy data alone",
     )
+    cells = {
+        k: ExperimentSpec(f"nf_kstar/k={k}", hist, partial(NoiseFirst, k=k),
+                          eps, (unit,), seeds)
+        for k in fixed_ks
+    }
+    cells["k*"] = ExperimentSpec("nf_kstar/k*", hist, NoiseFirst, eps,
+                                 (unit,), seeds)
+    records = run_cells(cells, n_jobs)
+    unit_mse = {policy: seed_mean(cell, lambda r: r.metric("unit", "mse"))
+                for policy, cell in records.items()}
     for k in fixed_ks:
-        values = []
-        for seed in seeds:
-            result = NoiseFirst(k=k).publish(hist, budget=eps, rng=seed)
-            values.append(evaluate_workload_error(hist, result.histogram, unit).mse)
-        table.add_row(f"fixed k={k}", float(np.mean(values)), k)
-
-    adaptive_vals, adaptive_ks = [], []
-    for seed in seeds:
-        result = NoiseFirst().publish(hist, budget=eps, rng=seed)
-        adaptive_vals.append(
-            evaluate_workload_error(hist, result.histogram, unit).mse
-        )
-        adaptive_ks.append(result.meta["k"])
-    table.add_row("adaptive k*", float(np.mean(adaptive_vals)),
-                  int(np.median(adaptive_ks)))
+        table.add_row(f"fixed k={k}", unit_mse[k], k)
+    table.add_row("adaptive k*", unit_mse["k*"],
+                  int(np.median([r.meta["k"] for r in records["k*"]])))
 
     oracle_vals, oracle_ks = [], []
     max_k = 128
@@ -91,7 +97,7 @@ def abl_nf_kstar(quick: bool = False) -> List[Table]:
     return [table]
 
 
-def abl_sf_sampling(quick: bool = False) -> List[Table]:
+def abl_sf_sampling(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """StructureFirst structure policies: EM vs equi-width vs oracle.
 
     Quantifies how much the exponential-mechanism boundary sampling buys
@@ -100,61 +106,52 @@ def abl_sf_sampling(quick: bool = False) -> List[Table]:
     """
     hist = searchlogs(n_bins=256, total=100_000)
     n = hist.size
-    unit = unit_queries(n)
-    long_w = fixed_length_ranges(n, n // 4)
-    seeds = _seeds(quick)
+    workloads = (unit_queries(n), fixed_length_ranges(n, n // 4))
+    cells = {
+        (eps, mode): ExperimentSpec(
+            f"sf_sampling/{eps:g}/{mode}", hist,
+            partial(StructureFirst, structure_mode=mode), eps, workloads,
+            _seeds(quick),
+        )
+        for eps in [0.05, 0.5]
+        for mode in ("em", "uniform", "oracle")
+    }
+    records = run_cells(cells, n_jobs)
     table = Table(
         title="abl_sf_sampling [searchlogs]: SF structure policy vs epsilon",
         headers=["epsilon", "policy", "unit MSE", "range MSE"],
         notes="oracle uses the true v-optimal structure (not private); "
               "uniform spends its whole budget on counts",
     )
-    for eps in [0.05, 0.5]:
-        for mode in ("em", "uniform", "oracle"):
-            unit_vals, range_vals = [], []
-            for seed in seeds:
-                result = StructureFirst(structure_mode=mode).publish(
-                    hist, budget=eps, rng=seed
-                )
-                unit_vals.append(
-                    evaluate_workload_error(hist, result.histogram, unit).mse
-                )
-                range_vals.append(
-                    evaluate_workload_error(hist, result.histogram, long_w).mse
-                )
-            table.add_row(eps, mode, float(np.mean(unit_vals)),
-                          float(np.mean(range_vals)))
+    for (eps, mode), cell in records.items():
+        table.add_row(eps, mode, *workload_mses(cell, workloads))
     return [table]
 
 
-def abl_consistency(quick: bool = False) -> List[Table]:
+def abl_consistency(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Boost with vs without the least-squares consistency step."""
     hist = searchlogs(n_bins=256, total=100_000)
     n = hist.size
-    unit = unit_queries(n)
-    long_w = fixed_length_ranges(n, n // 4)
-    seeds = _seeds(quick)
+    workloads = (unit_queries(n), fixed_length_ranges(n, n // 4))
+    cells = {
+        (eps, consistency): ExperimentSpec(
+            f"consistency/{eps:g}/{consistency}", hist,
+            partial(Boost, consistency=consistency), eps, workloads,
+            _seeds(quick),
+        )
+        for eps in [0.05, 0.5]
+        for consistency in (True, False)
+    }
+    records = run_cells(cells, n_jobs)
     table = Table(
         title="abl_consistency [searchlogs]: Boost consistency on/off",
         headers=["epsilon", "consistency", "unit MSE", "range MSE"],
         notes="consistency is an orthogonal projection, so it should never "
               "increase expected error",
     )
-    for eps in [0.05, 0.5]:
-        for consistency in (True, False):
-            unit_vals, range_vals = [], []
-            for seed in seeds:
-                result = Boost(consistency=consistency).publish(
-                    hist, budget=eps, rng=seed
-                )
-                unit_vals.append(
-                    evaluate_workload_error(hist, result.histogram, unit).mse
-                )
-                range_vals.append(
-                    evaluate_workload_error(hist, result.histogram, long_w).mse
-                )
-            table.add_row(eps, "on" if consistency else "off",
-                          float(np.mean(unit_vals)), float(np.mean(range_vals)))
+    for (eps, consistency), cell in records.items():
+        table.add_row(eps, "on" if consistency else "off",
+                      *workload_mses(cell, workloads))
     return [table]
 
 

@@ -3,7 +3,10 @@
 ``ext_spatial`` compares the 2-D publishers on rectangle workloads;
 ``ext_streaming`` compares uniform vs threshold release under w-event
 privacy.  Neither corresponds to a figure in the target paper — they
-exercise the follow-on problem settings the library also covers.
+exercise the follow-on problem settings the library also covers.  A
+``RunRecord`` cannot carry their 2-D and streaming releases (nor
+``abl_error_model``'s per-bin variances), so only ``ext_successors``
+runs its cells like the figures do.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ from repro.streaming.release import ThresholdStream, UniformStream
 __all__ = ["ext_spatial", "ext_streaming", "ext_successors", "abl_error_model"]
 
 
-def ext_successors(quick: bool = False) -> List[Table]:
+def ext_successors(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """NF / SF / AHP / DAWA-lite head-to-head (the successor comparison)."""
     from repro.baselines.ahp import Ahp
     from repro.baselines.dawa import DawaLite
     from repro.core import NoiseFirst, StructureFirst
     from repro.datasets.standard import nettrace, searchlogs
-    from repro.metrics.evaluate import evaluate_workload_error
+    from repro.experiments.runner import run_cells, workload_mses
+    from repro.experiments.spec import ExperimentSpec
     from repro.workloads.builders import fixed_length_ranges, unit_queries
 
     datasets = {
@@ -44,27 +48,25 @@ def ext_successors(quick: bool = False) -> List[Table]:
     seeds = range(3 if quick else 10)
     publishers = {"noisefirst": NoiseFirst, "structurefirst": StructureFirst,
                   "ahp": Ahp, "dawa-lite": DawaLite}
+    cells = {}
+    for ds_name, hist in datasets.items():
+        workloads = (unit_queries(hist.size),
+                     fixed_length_ranges(hist.size, hist.size // 2))
+        for eps in [0.02, 0.1]:
+            for pub_name, factory in publishers.items():
+                cells[ds_name, eps, pub_name] = ExperimentSpec(
+                    f"successors/{ds_name}/{pub_name}/{eps:g}", hist,
+                    factory, eps, workloads, seeds,
+                )
+    records = run_cells(cells, n_jobs)
     table = Table(
         title="ext_successors: NoiseFirst vs StructureFirst vs AHP vs DAWA-lite",
         headers=["dataset", "epsilon", "publisher", "unit MSE", "range MSE"],
         notes="AHP clusters by value (non-contiguous), the others by "
               "position; sparse data favours AHP's thresholding",
     )
-    for ds_name, hist in datasets.items():
-        unit = unit_queries(hist.size)
-        long_w = fixed_length_ranges(hist.size, hist.size // 2)
-        for eps in [0.02, 0.1]:
-            for pub_name, factory in publishers.items():
-                unit_vals, range_vals = [], []
-                for seed in seeds:
-                    result = factory().publish(hist, budget=eps, rng=seed)
-                    unit_vals.append(evaluate_workload_error(
-                        hist, result.histogram, unit).mse)
-                    range_vals.append(evaluate_workload_error(
-                        hist, result.histogram, long_w).mse)
-                table.add_row(ds_name, eps, pub_name,
-                              float(np.mean(unit_vals)),
-                              float(np.mean(range_vals)))
+    for key, cell in records.items():
+        table.add_row(*key, *workload_mses(cell, cells[key].workloads))
     return [table]
 
 

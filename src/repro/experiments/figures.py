@@ -7,13 +7,21 @@ rows/series the paper reports.  ``quick=True`` shrinks domains, seed
 counts and grids so a bench finishes in seconds; ``quick=False`` runs the
 full configuration recorded in EXPERIMENTS.md.
 
-All randomness is seeded: re-running an experiment reproduces its tables
-bit-for-bit.
+The experiments that publish and evaluate build one
+:class:`~repro.experiments.spec.ExperimentSpec` per table cell and run
+all of them with one :func:`~repro.robust.executor.supervise` call
+(:func:`~repro.experiments.runner.run_cells`) — the executor,
+``run_once`` and ``RunRecord`` that ``repro run`` and ``repro
+scenarios`` sweep with — so ``n_jobs > 1`` runs an experiment on one
+process pool.  Every entry is a :func:`seed_mean` of its cell's
+records.  All randomness is seeded: re-running an experiment, serially
+or pooled, reproduces its tables bit-for-bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -24,12 +32,16 @@ from repro.core.publisher import Publisher
 from repro.datasets import registry as dataset_registry
 from repro.datasets.generators import step_histogram
 from repro.datasets.standard import age, nettrace, searchlogs, socialnetwork
-from repro.experiments.aggregate import aggregate_records
-from repro.experiments.runner import run_matrix, run_once
+from repro.experiments.runner import (
+    RunRecord,
+    run_cells,
+    run_once,
+    seed_mean,
+    workload_mses,
+)
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.tables import Table
 from repro.hist.histogram import Histogram
-from repro.metrics.evaluate import evaluate_workload_error
 from repro.workloads.builders import fixed_length_ranges, unit_queries
 
 __all__ = [
@@ -105,8 +117,40 @@ def table1_datasets(quick: bool = False) -> List[Table]:
 
 
 # ---------------------------------------------------------------------------
-# fig_point_vs_eps: unit-query MSE vs epsilon
+# fig_point_vs_eps / fig_kl_vs_eps: one quantity vs epsilon, per dataset
 # ---------------------------------------------------------------------------
+
+def _eps_sweep(
+    figure: str, quantity: str, value: Callable[[RunRecord], float],
+    quick: bool, n_jobs: int,
+) -> List[Table]:
+    """One table per dataset: the seed mean of ``value`` for every roster
+    publisher (columns) at every epsilon of the grid (rows)."""
+    datasets = _datasets(quick)
+    cells = {}
+    for ds_name, hist in datasets.items():
+        unit = unit_queries(hist.size)
+        for eps in _eps_grid(quick):
+            for pub_name, factory in ROSTER.items():
+                cells[ds_name, eps, pub_name] = ExperimentSpec(
+                    f"{figure}/{ds_name}/{pub_name}/{eps:g}", hist, factory,
+                    eps, (unit,), _seeds(quick),
+                )
+    records = run_cells(cells, n_jobs)
+    tables = []
+    for ds_name in datasets:
+        table = Table(
+            title=f"fig_{figure} [{ds_name}]: {quantity} vs epsilon",
+            headers=["epsilon"] + list(ROSTER),
+        )
+        for eps in _eps_grid(quick):
+            table.add_row(eps, *[
+                seed_mean(records[ds_name, eps, pub_name], value)
+                for pub_name in ROSTER
+            ])
+        tables.append(table)
+    return tables
+
 
 def fig_point_vs_eps(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """MSE of unit-length (point) queries vs epsilon, per dataset.
@@ -114,58 +158,41 @@ def fig_point_vs_eps(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     Expected shape: NoiseFirst tracks or beats Dwork everywhere and wins
     clearly once noise dominates (small epsilon); the tree/wavelet/
     structure publishers pay their overhead and lose on points.
-
-    ``n_jobs`` fans the seed repetitions of each cell out over a process
-    pool via :func:`~repro.experiments.runner.run_matrix`; results are
-    bit-identical to the serial run.
     """
-    tables = []
-    seeds = tuple(_seeds(quick))
-    for ds_name, hist in _datasets(quick).items():
-        unit = unit_queries(hist.size)
-        table = Table(
-            title=f"fig_point_vs_eps [{ds_name}]: unit-query MSE vs epsilon",
-            headers=["epsilon"] + list(ROSTER),
-        )
-        for eps in _eps_grid(quick):
-            row: List[object] = [eps]
-            for pub_name, factory in ROSTER.items():
-                spec = ExperimentSpec(
-                    name=f"point_vs_eps/{ds_name}/{pub_name}/{eps:g}",
-                    histogram=hist,
-                    publisher_factory=factory,
-                    epsilon=eps,
-                    workloads=(unit,),
-                    seeds=seeds,
-                    n_jobs=n_jobs,
-                )
-                records = run_matrix(spec)
-                agg = aggregate_records(records, lambda r: r.metric("unit", "mse"))
-                row.append(agg.mean)
-            table.add_row(*row)
-        tables.append(table)
-    return tables
+    return _eps_sweep("point_vs_eps", "unit-query MSE",
+                      lambda r: r.metric("unit", "mse"), quick, n_jobs)
+
+
+def fig_kl_vs_eps(quick: bool = False, n_jobs: int = 1) -> List[Table]:
+    """KL(truth || published) vs epsilon per dataset."""
+    return _eps_sweep("kl_vs_eps", "KL divergence", lambda r: r.kl, quick,
+                      n_jobs)
 
 
 # ---------------------------------------------------------------------------
 # fig_range_vs_len: range-query MSE vs query length (the crossover figure)
 # ---------------------------------------------------------------------------
 
-def _range_sweep(
-    hist: Histogram, eps: float, lengths: Sequence[int], seeds: Sequence[int]
-) -> Dict[str, Dict[int, float]]:
-    """mean range-MSE per publisher per length; one publish per seed."""
-    workloads = [fixed_length_ranges(hist.size, length) for length in lengths]
-    out: Dict[str, Dict[int, float]] = {}
-    for name, factory in ROSTER.items():
-        per_len: Dict[int, List[float]] = {length: [] for length in lengths}
-        for seed in seeds:
-            result = factory().publish(hist, budget=eps, rng=seed)
-            for length, workload in zip(lengths, workloads):
-                errors = evaluate_workload_error(hist, result.histogram, workload)
-                per_len[length].append(errors.mse)
-        out[name] = {length: float(np.mean(v)) for length, v in per_len.items()}
-    return out
+def _range_cells(
+    label: str, hist: Histogram, eps: float, lengths: Sequence[int],
+    seeds: Sequence[int],
+) -> Dict[tuple, ExperimentSpec]:
+    """One cell per roster publisher: one publish per seed, evaluated on
+    every fixed-length range workload; keyed ``(label, publisher)``."""
+    workloads = tuple(fixed_length_ranges(hist.size, length)
+                      for length in lengths)
+    return {
+        (label, name): ExperimentSpec(
+            f"range_vs_len/{label}/{name}", hist, factory, eps, workloads,
+            seeds,
+        )
+        for name, factory in ROSTER.items()
+    }
+
+
+def _range_mse(records: Sequence[RunRecord], length: int) -> float:
+    """Seed-mean MSE of a range cell's length-``length`` workload."""
+    return seed_mean(records, lambda r: r.metric(f"len-{length}", "mse"))
 
 
 def _sweep_lengths(n: int) -> List[int]:
@@ -179,7 +206,7 @@ def _sweep_lengths(n: int) -> List[int]:
     return lengths
 
 
-def fig_range_vs_len(quick: bool = False) -> List[Table]:
+def fig_range_vs_len(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """MSE of fixed-length range queries vs length at fixed epsilon.
 
     Expected shape: Dwork/NoiseFirst grow linearly in the length;
@@ -188,7 +215,8 @@ def fig_range_vs_len(quick: bool = False) -> List[Table]:
     hist = searchlogs(n_bins=512 if quick else 1024, total=100_000)
     eps = 0.01
     lengths = _sweep_lengths(hist.size)
-    sweep = _range_sweep(hist, eps, lengths, _seeds(quick))
+    cells = _range_cells("searchlogs", hist, eps, lengths, _seeds(quick))
+    records = run_cells(cells, n_jobs)
     table = Table(
         title=f"fig_range_vs_len [searchlogs, eps={eps}]: range MSE vs length",
         headers=["length"] + list(ROSTER),
@@ -196,50 +224,18 @@ def fig_range_vs_len(quick: bool = False) -> List[Table]:
               "structurefirst/privelet/boost win long ranges",
     )
     for length in lengths:
-        table.add_row(length, *[sweep[name][length] for name in ROSTER])
+        table.add_row(length, *[
+            _range_mse(records["searchlogs", name], length)
+            for name in ROSTER
+        ])
     return [table]
-
-
-# ---------------------------------------------------------------------------
-# fig_kl_vs_eps: distribution-level KL divergence vs epsilon
-# ---------------------------------------------------------------------------
-
-def fig_kl_vs_eps(quick: bool = False, n_jobs: int = 1) -> List[Table]:
-    """KL(truth || published) vs epsilon per dataset.
-
-    Seed repetitions run through :func:`run_matrix`, so ``n_jobs > 1``
-    parallelizes each cell without changing any reported number.
-    """
-    tables = []
-    seeds = tuple(_seeds(quick))
-    for ds_name, hist in _datasets(quick).items():
-        table = Table(
-            title=f"fig_kl_vs_eps [{ds_name}]: KL divergence vs epsilon",
-            headers=["epsilon"] + list(ROSTER),
-        )
-        for eps in _eps_grid(quick):
-            row: List[object] = [eps]
-            for pub_name, factory in ROSTER.items():
-                spec = ExperimentSpec(
-                    name=f"kl_vs_eps/{ds_name}/{pub_name}/{eps:g}",
-                    histogram=hist,
-                    publisher_factory=factory,
-                    epsilon=eps,
-                    seeds=seeds,
-                    n_jobs=n_jobs,
-                )
-                records = run_matrix(spec)
-                row.append(float(np.mean([r.kl for r in records])))
-            table.add_row(*row)
-        tables.append(table)
-    return tables
 
 
 # ---------------------------------------------------------------------------
 # fig_k_sensitivity: error vs bucket count k
 # ---------------------------------------------------------------------------
 
-def fig_k_sensitivity(quick: bool = False) -> List[Table]:
+def fig_k_sensitivity(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """StructureFirst/NoiseFirst error as a function of the bucket count.
 
     Sweeps k for both algorithms at fixed epsilon and reports unit and
@@ -249,35 +245,32 @@ def fig_k_sensitivity(quick: bool = False) -> List[Table]:
     hist = searchlogs(n_bins=256, total=100_000)
     eps = 0.05
     n = hist.size
-    unit = unit_queries(n)
-    long_w = fixed_length_ranges(n, n // 4)
+    workloads = (unit_queries(n), fixed_length_ranges(n, n // 4))
     ks = [2, 4, 8, 16, 32, 64, 128]
     seeds = _seeds(quick)
+    cells = {
+        (name, k): ExperimentSpec(
+            f"k_sensitivity/{name}/k={k}", hist, partial(factory, k=k), eps,
+            workloads, seeds,
+        )
+        for k in ks
+        for name, factory in (("SF", StructureFirst), ("NF", NoiseFirst))
+    }
+    cells["NF", "k*"] = ExperimentSpec(
+        "k_sensitivity/NF/k*", hist, NoiseFirst, eps, workloads, seeds,
+    )
+    records = run_cells(cells, n_jobs)
     table = Table(
         title=f"fig_k_sensitivity [searchlogs, eps={eps}]: error vs bucket count",
         headers=["k", "SF unit MSE", "SF range MSE", "NF unit MSE",
                  "NF range MSE"],
     )
     for k in ks:
-        sf_unit, sf_rng, nf_unit, nf_rng = [], [], [], []
-        for seed in seeds:
-            sf = StructureFirst(k=k).publish(hist, budget=eps, rng=seed)
-            nf = NoiseFirst(k=k).publish(hist, budget=eps, rng=seed)
-            sf_unit.append(evaluate_workload_error(hist, sf.histogram, unit).mse)
-            sf_rng.append(evaluate_workload_error(hist, sf.histogram, long_w).mse)
-            nf_unit.append(evaluate_workload_error(hist, nf.histogram, unit).mse)
-            nf_rng.append(evaluate_workload_error(hist, nf.histogram, long_w).mse)
-        table.add_row(k, float(np.mean(sf_unit)), float(np.mean(sf_rng)),
-                      float(np.mean(nf_unit)), float(np.mean(nf_rng)))
-    # Adaptive NoiseFirst reference row.
-    nf_unit, nf_rng, k_star = [], [], []
-    for seed in seeds:
-        nf = NoiseFirst().publish(hist, budget=eps, rng=seed)
-        nf_unit.append(evaluate_workload_error(hist, nf.histogram, unit).mse)
-        nf_rng.append(evaluate_workload_error(hist, nf.histogram, long_w).mse)
-        k_star.append(nf.meta["k"])
-    table.add_row(f"NF k*={int(np.median(k_star))}", float("nan"), float("nan"),
-                  float(np.mean(nf_unit)), float(np.mean(nf_rng)))
+        table.add_row(k, *workload_mses(records["SF", k], workloads),
+                      *workload_mses(records["NF", k], workloads))
+    k_star = int(np.median([r.meta["k"] for r in records["NF", "k*"]]))
+    table.add_row(f"NF k*={k_star}", float("nan"), float("nan"),
+                  *workload_mses(records["NF", "k*"], workloads))
     return [table]
 
 
@@ -285,34 +278,29 @@ def fig_k_sensitivity(quick: bool = False) -> List[Table]:
 # fig_budget_split: StructureFirst structure/noise budget split
 # ---------------------------------------------------------------------------
 
-def fig_budget_split(quick: bool = False) -> List[Table]:
+def fig_budget_split(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """StructureFirst error vs the fraction of budget spent on structure."""
     hist = searchlogs(n_bins=256, total=100_000)
     eps = 0.1
     n = hist.size
-    unit = unit_queries(n)
-    long_w = fixed_length_ranges(n, n // 4)
+    workloads = (unit_queries(n), fixed_length_ranges(n, n // 4))
     fractions = [0.1, 0.25, 0.5, 0.75, 0.9]
-    seeds = _seeds(quick)
+    cells = {
+        fraction: ExperimentSpec(
+            f"budget_split/{fraction:g}", hist,
+            partial(StructureFirst, structure_fraction=fraction), eps,
+            workloads, _seeds(quick),
+        )
+        for fraction in fractions
+    }
+    records = run_cells(cells, n_jobs)
     table = Table(
         title=f"fig_budget_split [searchlogs, eps={eps}]: SF error vs "
               "structure fraction",
         headers=["structure fraction", "unit MSE", "range MSE"],
     )
     for fraction in fractions:
-        unit_vals, range_vals = [], []
-        for seed in seeds:
-            result = StructureFirst(structure_fraction=fraction).publish(
-                hist, budget=eps, rng=seed
-            )
-            unit_vals.append(
-                evaluate_workload_error(hist, result.histogram, unit).mse
-            )
-            range_vals.append(
-                evaluate_workload_error(hist, result.histogram, long_w).mse
-            )
-        table.add_row(fraction, float(np.mean(unit_vals)),
-                      float(np.mean(range_vals)))
+        table.add_row(fraction, *workload_mses(records[fraction], workloads))
     return [table]
 
 
@@ -348,21 +336,26 @@ def fig_scalability(quick: bool = False) -> List[Table]:
 # table_crossover: winner per (dataset, range length) regime
 # ---------------------------------------------------------------------------
 
-def table_crossover(quick: bool = False) -> List[Table]:
+def table_crossover(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Which publisher wins at each query length, per dataset."""
     eps = 0.01
     seeds = _seeds(quick)
+    datasets = _datasets(quick)
+    cells: Dict[tuple, ExperimentSpec] = {}
+    for ds_name, hist in datasets.items():
+        cells.update(_range_cells(ds_name, hist, eps,
+                                  _sweep_lengths(hist.size), seeds))
+    records = run_cells(cells, n_jobs)
     table = Table(
         title=f"table_crossover [eps={eps}]: winning publisher by range length",
         headers=["dataset", "length", "winner", "winner MSE", "dwork MSE"],
         notes="the paper's qualitative claim: noise-dominated short ranges "
               "go to noisefirst/dwork, long ranges to the structured trio",
     )
-    for ds_name, hist in _datasets(quick).items():
-        lengths = _sweep_lengths(hist.size)
-        sweep = _range_sweep(hist, eps, lengths, seeds)
-        for length in lengths:
-            scores = {name: sweep[name][length] for name in ROSTER}
+    for ds_name, hist in datasets.items():
+        for length in _sweep_lengths(hist.size):
+            scores = {name: _range_mse(records[ds_name, name], length)
+                      for name in ROSTER}
             winner = min(scores, key=scores.get)
             table.add_row(ds_name, length, winner, scores[winner],
                           scores["dwork"])
@@ -373,7 +366,7 @@ def table_crossover(quick: bool = False) -> List[Table]:
 # fig_smoothness: error vs ground-truth smoothness
 # ---------------------------------------------------------------------------
 
-def fig_data_scale(quick: bool = False) -> List[Table]:
+def fig_data_scale(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Relative error vs dataset cardinality at fixed epsilon.
 
     Noise is data-independent, so scaling the data total down makes the
@@ -386,7 +379,16 @@ def fig_data_scale(quick: bool = False) -> List[Table]:
     n = 256
     totals = [10_000, 100_000] if quick else [3_000, 10_000, 30_000,
                                               100_000, 300_000, 1_000_000]
-    seeds = _seeds(quick)
+    unit = unit_queries(n)
+    cells = {}
+    for total in totals:
+        hist = searchlogs(n_bins=n, total=total)
+        for pub_name, factory in ROSTER.items():
+            cells[total, pub_name] = ExperimentSpec(
+                f"data_scale/{total}/{pub_name}", hist, factory, eps,
+                (unit,), _seeds(quick),
+            )
+    records = run_cells(cells, n_jobs)
     table = Table(
         title=f"fig_data_scale [searchlogs shape, n={n}, eps={eps}]: "
               "scaled unit error vs total count",
@@ -395,23 +397,15 @@ def fig_data_scale(quick: bool = False) -> List[Table]:
               "totals make the same noise relatively larger",
     )
     for total in totals:
-        hist = searchlogs(n_bins=n, total=total)
-        unit = unit_queries(n)
-        row: List[object] = [total]
-        for factory in ROSTER.values():
-            values = []
-            for seed in seeds:
-                result = factory().publish(hist, budget=eps, rng=seed)
-                values.append(
-                    evaluate_workload_error(hist, result.histogram,
-                                            unit).scaled
-                )
-            row.append(float(np.mean(values)))
-        table.add_row(*row)
+        table.add_row(total, *[
+            seed_mean(records[total, pub_name],
+                      lambda r: r.metric("unit", "scaled"))
+            for pub_name in ROSTER
+        ])
     return [table]
 
 
-def fig_smoothness(quick: bool = False) -> List[Table]:
+def fig_smoothness(quick: bool = False, n_jobs: int = 1) -> List[Table]:
     """Error vs number of true steps in piecewise-constant data.
 
     Structure-based publishers shine when the data really is bucketed
@@ -421,22 +415,24 @@ def fig_smoothness(quick: bool = False) -> List[Table]:
     eps = 0.05
     unit = unit_queries(n)
     steps = [2, 8, 32, 128]
-    seeds = _seeds(quick)
+    cells = {}
+    for n_steps in steps:
+        hist = step_histogram(n, n_steps, total=100_000, rng=7)
+        for pub_name, factory in ROSTER.items():
+            cells[n_steps, pub_name] = ExperimentSpec(
+                f"smoothness/{n_steps}/{pub_name}", hist, factory, eps,
+                (unit,), _seeds(quick),
+            )
+    records = run_cells(cells, n_jobs)
     table = Table(
         title=f"fig_smoothness [step data, n={n}, eps={eps}]: unit MSE vs "
               "true step count",
         headers=["steps"] + list(ROSTER),
     )
     for n_steps in steps:
-        hist = step_histogram(n, n_steps, total=100_000, rng=7)
-        row: List[object] = [n_steps]
-        for factory in ROSTER.values():
-            values = []
-            for seed in seeds:
-                result = factory().publish(hist, budget=eps, rng=seed)
-                values.append(
-                    evaluate_workload_error(hist, result.histogram, unit).mse
-                )
-            row.append(float(np.mean(values)))
-        table.add_row(*row)
+        table.add_row(n_steps, *[
+            seed_mean(records[n_steps, pub_name],
+                      lambda r: r.metric("unit", "mse"))
+            for pub_name in ROSTER
+        ])
     return [table]

@@ -50,10 +50,11 @@ def run_experiment(
 ) -> List[Table]:
     """Run one experiment by id and return its tables.
 
-    ``n_jobs`` forwards to experiments whose seed loops run through
-    :func:`~repro.experiments.runner.run_matrix` (currently the
-    ``*_vs_eps`` figures); experiments without a parallel path ignore it.
-    Raises KeyError (listing valid ids) on an unknown name.
+    ``n_jobs`` forwards to the experiments that run their cells through
+    :func:`~repro.robust.executor.supervise` (one process pool per
+    experiment when ``n_jobs > 1``); the seven that keep their own trial
+    loops (EXPERIMENTS.md lists them) take no ``n_jobs`` and run
+    serially.  Raises KeyError (listing valid ids) on an unknown name.
     """
     try:
         fn = EXPERIMENTS[name]

@@ -1,8 +1,11 @@
 """Experiment execution.
 
 ``run_once`` executes a single (publisher, dataset, epsilon, seed) cell;
-``run_matrix`` repeats a spec over its seeds — serially or on a process
-pool — and returns the raw records for aggregation.
+:func:`repro.robust.executor.supervise` runs every (spec, seed) cell of
+an experiment or sweep through it — serially or on one process pool,
+:func:`run_cells` for a keyed table of specs — and :func:`seed_mean`
+(:func:`workload_mses` for one MSE per workload) reads a table entry off
+a cell's records.
 
 Timing: ``RunRecord.seconds`` wraps a monotonic stopwatch around the
 publish call only (that is what the scalability figure reports), while
@@ -24,24 +27,17 @@ still compare equal in every statistical field.
 
 Parallelism and determinism
 ---------------------------
-``run_matrix(spec, n_jobs=4)`` fans the seeds out over a *supervised*
-process pool (:mod:`repro.robust.executor`).  Every seed owns an
-independent child RNG (``numpy.random.default_rng(seed)`` is
-constructed inside the worker from the integer seed alone), so a record
-depends only on its ``(spec, seed)`` pair — never on which process ran
-it, in what order, or on which retry attempt.  Parallel results are
-therefore bit-identical to serial ones in every statistical field —
-even across worker crashes, timeouts and ``--resume`` — and only the
-wall-clock fields differ; :func:`strip_timing` normalizes those for
-comparisons.
-
-Fault tolerance
----------------
-``run_matrix`` accepts ``timeout=``, ``retries=``, ``journal=``,
-``resume=`` and ``strict=`` and forwards them to a one-spec
-:func:`repro.robust.executor.supervise`; see ``docs/robustness.md``
-for the failure taxonomy and recovery semantics.  The defaults preserve
-the historical fail-fast behavior exactly.
+``supervise(specs, n_jobs=4)`` fans the cells out over a *supervised*
+process pool.  Every seed owns an independent child RNG
+(``numpy.random.default_rng(seed)`` is constructed inside the worker
+from the integer seed alone), so a record depends only on its
+``(spec, seed)`` pair — never on which process ran it, in what order,
+or on which retry attempt.  Parallel results are therefore
+bit-identical to serial ones in every statistical field — even across
+worker crashes, timeouts and ``--resume`` — and only the wall-clock
+fields differ; :func:`strip_timing` normalizes those for comparisons.
+See ``docs/robustness.md`` for the failure taxonomy and recovery
+semantics.
 """
 
 from __future__ import annotations
@@ -49,9 +45,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro._validation import check_integer
 from repro.core.publisher import Publisher
@@ -63,13 +60,16 @@ from repro.obs import resources as _resources
 from repro.obs import trace as _trace
 from repro.obs.trace import Stopwatch
 from repro.robust import faults
-from repro.robust.records import FailedRecord
+from repro.robust.executor import supervise
+from repro.robust.records import FailedRecord, is_failed
 from repro.workloads.workload import Workload
 
 __all__ = [
     "RunRecord",
     "run_once",
-    "run_matrix",
+    "run_cells",
+    "seed_mean",
+    "workload_mses",
     "resolve_n_jobs",
     "is_timing_meta_key",
     "strip_timing",
@@ -198,6 +198,41 @@ def _run_seed(spec: ExperimentSpec, seed: int) -> RunRecord:
     return replace(record, meta=meta)
 
 
+def seed_mean(
+    records: Sequence[Union[RunRecord, FailedRecord]],
+    value: Callable[[RunRecord], float],
+) -> float:
+    """Mean of ``value(record)`` over one cell's records, in seed order.
+
+    This is how every experiment table and the sweep table read a cell.
+    Quarantined :class:`~repro.robust.records.FailedRecord` entries are
+    skipped (a non-strict sweep reports them beside the mean); a cell
+    with no successful record has no mean and raises ``ValueError``.
+    """
+    values = [value(record) for record in records if not is_failed(record)]
+    if not values:
+        raise ValueError("no successful record to average")
+    return float(np.mean(values))
+
+
+def run_cells(
+    cells: Dict[Any, ExperimentSpec], n_jobs: int = 1,
+) -> Dict[Any, List[Union[RunRecord, FailedRecord]]]:
+    """Run an experiment's cells with one ``supervise`` call (fail-fast,
+    one process pool when ``n_jobs > 1``); each key's records come back
+    in seed order."""
+    return dict(zip(cells, supervise(list(cells.values()), n_jobs)))
+
+
+def workload_mses(
+    records: Sequence[Union[RunRecord, FailedRecord]],
+    workloads: Sequence[Workload],
+) -> List[float]:
+    """The :func:`seed_mean` MSE of each of ``workloads``, in order."""
+    return [seed_mean(records, lambda r: r.metric(w.name, "mse"))
+            for w in workloads]
+
+
 def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     """Normalize an ``n_jobs`` request to a concrete worker count.
 
@@ -212,88 +247,6 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1 or -1, got {n_jobs}")
     return int(n_jobs)
-
-
-def run_matrix(
-    spec: ExperimentSpec,
-    n_jobs: Optional[int] = None,
-    *,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = 0.5,
-    journal: "Any | None" = None,
-    resume: bool = False,
-    retry_failed: bool = False,
-    strict: bool = True,
-    sleep: Callable[[float], None] = time.sleep,
-    observer: "Any | None" = None,
-) -> List[Union[RunRecord, FailedRecord]]:
-    """Run a spec once per seed; returns the raw records in seed order.
-
-    Execution goes through the supervised executor
-    (:func:`repro.robust.executor.supervise`): the spec is pickled
-    once and shipped per worker (not per seed), hung trials time out,
-    dead workers respawn the pool and re-dispatch only missing seeds,
-    and completed trials can be checkpointed to a JSONL journal.  With
-    the defaults (no timeout, no retries, ``strict=True``) the behavior
-    is exactly the historical fail-fast contract.
-
-    Parameters
-    ----------
-    spec:
-        The experiment cell; ``spec.n_jobs`` supplies the default worker
-        count.
-    n_jobs:
-        Overrides ``spec.n_jobs`` when given: 1 = serial, ``N`` = that
-        many worker processes, -1 = all CPUs.  Parallel execution is
-        bit-identical to serial (see the module docstring); if the spec
-        cannot be pickled (e.g. a lambda publisher factory) the run
-        falls back to serial with a warning.
-    timeout:
-        Per-trial wall-clock budget in seconds; a hung worker is killed
-        and the seed retried.  Only enforceable with ``n_jobs > 1``.
-    retries:
-        Failed-attempt budget per seed before the cell is given up
-        (raised under ``strict``, quarantined into a
-        :class:`~repro.robust.records.FailedRecord` otherwise).
-    backoff:
-        Base of the exponential retry delay (``backoff * 2**(k-1)``
-        seconds before attempt ``k+1``, capped).
-    journal / resume:
-        A :class:`~repro.robust.journal.CheckpointJournal` (or path) to
-        append completed trials to; with ``resume=True`` matching
-        entries are loaded and only missing seeds run.
-    retry_failed:
-        With ``resume=True``: journaled quarantines
-        (:class:`FailedRecord` entries) get fresh attempts instead of
-        being carried forward — use after fixing a transient failure.
-    strict:
-        ``True`` (default): exhausting a seed's attempts raises — the
-        historical fail-fast behavior.  ``False``: the cell degrades
-        into a ``FailedRecord`` and the rest of the matrix completes.
-    sleep:
-        Injection point for the backoff sleeps (tests pass a no-op).
-    observer:
-        An :class:`repro.obs.monitor.ExecutorObserver` receiving
-        executor lifecycle events (dispatches, completions, strikes,
-        pool respawns).  Observer exceptions are downgraded to warnings
-        — observability never fails a run.
-    """
-    from repro.robust.executor import supervise
-
-    return supervise(
-        [spec],
-        n_jobs,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        journal=journal,
-        resume=resume,
-        retry_failed=retry_failed,
-        strict=strict,
-        sleep=sleep,
-        observer=observer,
-    )[0]
 
 
 def strip_timing(record: RunRecord) -> RunRecord:
@@ -325,8 +278,6 @@ def _values_equal(a: Any, b: Any) -> bool:
     (e.g. :class:`~repro.metrics.evaluate.WorkloadErrors`) compare field
     by field under the same rules.
     """
-    import numpy as np
-
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
             return False
@@ -370,7 +321,7 @@ def records_equal(a: RunRecord, b: RunRecord, ignore_timing: bool = True) -> boo
 
     With ``ignore_timing`` (the default) both records pass through
     :func:`strip_timing` first, so the comparison asserts exactly the
-    bit-identical-statistics contract of parallel ``run_matrix``.
+    bit-identical-statistics contract of parallel ``supervise``.
     NaN-valued metrics compare equal to themselves (bit-identical runs
     that both produced NaN are still identical runs).
     """

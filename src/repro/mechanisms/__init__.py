@@ -14,6 +14,7 @@ from repro.mechanisms.exponential import (
     gumbel_argmax,
 )
 from repro.mechanisms.sensitivity import (
+    contract_sensitivity,
     histogram_sensitivity,
     range_sum_sensitivity,
     sse_sensitivity_bound,
@@ -27,6 +28,7 @@ __all__ = [
     "exponential_probabilities",
     "gumbel_argmax",
     "histogram_sensitivity",
+    "contract_sensitivity",
     "range_sum_sensitivity",
     "sse_sensitivity_bound",
 ]

@@ -17,6 +17,7 @@ from repro._validation import check_integer, check_non_negative
 
 __all__ = [
     "histogram_sensitivity",
+    "contract_sensitivity",
     "range_sum_sensitivity",
     "sse_sensitivity_bound",
 ]
@@ -40,6 +41,13 @@ def histogram_sensitivity(neighbours: str = "unbounded") -> float:
     """
     _check_neighbours(neighbours)
     return 1.0 if neighbours == "unbounded" else 2.0
+
+
+def contract_sensitivity(meta: dict) -> float:
+    """:func:`histogram_sensitivity` of the ``neighbours`` convention a
+    publish records in its ``meta``; unbounded when the key is missing,
+    as in journals written before the publishers recorded it."""
+    return histogram_sensitivity(meta.get("neighbours", "unbounded"))
 
 
 def range_sum_sensitivity(neighbours: str = "unbounded") -> float:

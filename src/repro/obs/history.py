@@ -163,7 +163,8 @@ def _radar_oracle(publisher: str, histogram: Any, epsilon: float,
     Section 4 claim — adaptive NoiseFirst never does worse than the
     unmerged identity release — so those rows anchor to the identity
     oracle as an ``upper_bound`` (flags from above only; the
-    calibration suite power-tests the bound).
+    calibration suite power-tests the bound), at the sensitivity of the
+    publish's recorded ``neighbours`` convention.
 
     ``oracles`` (a :class:`repro.verify.oracles.OracleCache`) builds
     the data-independent anchors, that identity bound included, once.
@@ -177,13 +178,16 @@ def _radar_oracle(publisher: str, histogram: Any, epsilon: float,
         # with the wrong dataset size gets no anchor, not a wrong one.
         raise ValueError("partition and counts sizes differ")
 
+    from repro.mechanisms.sensitivity import contract_sensitivity
+    from repro.verify.oracles import dwork_oracle
+
+    sensitivity = contract_sensitivity(meta)
+
     def identity_bound() -> Any:
         import dataclasses
 
-        from repro.verify.oracles import dwork_oracle
-
         return dataclasses.replace(
-            dwork_oracle(histogram.size, epsilon),
+            dwork_oracle(histogram.size, epsilon, sensitivity),
             publisher="noisefirst",
             kind="upper_bound",
             notes="Section-4 bound: merged NoiseFirst never worse than "
@@ -192,7 +196,7 @@ def _radar_oracle(publisher: str, histogram: Any, epsilon: float,
         )
 
     return oracles.get(
-        ("noisefirst", histogram.size, epsilon, "upper_bound"),
+        ("noisefirst", histogram.size, epsilon, sensitivity, "upper_bound"),
         identity_bound,
     )
 

@@ -1,6 +1,6 @@
 """Fault-tolerant experiment execution.
 
-The robustness layer around :func:`repro.experiments.runner.run_matrix`:
+The robustness layer around :func:`repro.experiments.runner.run_once`:
 
 * :mod:`repro.robust.executor` — one supervisor and one process pool for
   every (spec, seed) cell of a sweep, with per-cell timeouts, bounded

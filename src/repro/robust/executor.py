@@ -31,8 +31,8 @@ sweep through one supervisor and one process pool, in waves of at most
   honored on resume by default; ``retry_failed=True`` gives them fresh
   attempts instead (e.g. after fixing a transient environment problem).
 
-:func:`repro.experiments.runner.run_matrix` is the one-spec sweep of
-the same routine.
+``repro run``, ``repro scenarios`` and the paper's experiments
+(:mod:`repro.experiments.figures`) all run their cells through it.
 
 Determinism under retry
 -----------------------

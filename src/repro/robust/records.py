@@ -4,10 +4,10 @@ When the supervised executor gives up on a trial (quarantined poison
 pill, or a non-strict run that exhausted its retries), the failure is
 not an exception that unwinds the whole sweep — it becomes a
 :class:`FailedRecord` carrying the cell identity and the error class
-from the :mod:`repro.exceptions` taxonomy.  Aggregation and the journal
-treat these records as first-class citizens: they are journaled,
-reloaded on ``--resume``, counted by :class:`~repro.experiments.aggregate.Aggregate`,
-and *skipped-and-reported* rather than silently dropped.
+from the :mod:`repro.exceptions` taxonomy.  They are journaled,
+reloaded on ``--resume``, skipped by
+:func:`~repro.experiments.runner.seed_mean` and counted by
+:func:`~repro.robust.sweep.sweep_table`: reported, never dropped.
 """
 
 from __future__ import annotations

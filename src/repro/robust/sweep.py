@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.experiments.aggregate import aggregate_records
+from repro.experiments.runner import seed_mean
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.tables import Table
 from repro.robust.journal import CheckpointJournal
@@ -167,13 +167,10 @@ def sweep_table(results: "Dict[str, List[object]]") -> Tuple[Table, List[FailedR
         failures.extend(failed)
         healthy = [r for r in records if not is_failed(r)]
         if healthy:
-            kl = aggregate_records(records, lambda r: r.kl)
-            mse = aggregate_records(
-                records, lambda r: r.metric("unit", "mse")
-            )
+            kl = seed_mean(records, lambda r: r.kl)
+            mse = seed_mean(records, lambda r: r.metric("unit", "mse"))
             table.add_row(
-                name, len(healthy), len(failed),
-                f"{kl.mean:.4g}", f"{mse.mean:.4g}",
+                name, len(healthy), len(failed), f"{kl:.4g}", f"{mse:.4g}",
             )
         else:
             table.add_row(name, 0, len(failed), "n/a", "n/a")

@@ -28,10 +28,7 @@ Workers are supervised the way the robust executor supervises trials:
 per-request transport retries with deterministic backoff, and a worker
 that still cannot reach the server quarantines the remainder of its
 trace into a :class:`~repro.robust.records.FailedRecord` instead of
-crashing the replay.  An optional
-:class:`~repro.obs.monitor.ExecutorObserver` receives run/dispatch/done
-events (one "seed" per tenant), so ``RunStats`` and the progress
-monitors work unchanged.
+crashing the replay.
 """
 
 from __future__ import annotations
@@ -414,11 +411,6 @@ class ReplayResult:
 # The driver
 # ---------------------------------------------------------------------------
 
-class _NullObserver:
-    def __getattr__(self, _name: str):  # any hook: no-op
-        return lambda *args, **kwargs: None
-
-
 #: Transport failures worth retrying: connection refused/reset (a
 #: server restarting mid-chaos) and half-closed keep-alive streams
 #: (``BadStatusLine`` is an ``HTTPException``, not an ``OSError``).
@@ -551,7 +543,6 @@ def run_replay(
     time_scale: Optional[float] = None,
     retries: int = 2,
     backoff_seconds: float = 0.05,
-    observer: Optional[Any] = None,
     cache_entries: int = 8,
     default_tenant_budget: float = 100.0,
     state_dir: Optional[Union[str, Path]] = None,
@@ -583,7 +574,6 @@ def run_replay(
         server_thread.start()
         base_url = owned_server.url
     scale = manifest.time_scale if time_scale is None else float(time_scale)
-    obs = observer if observer is not None else _NullObserver()
     client = ServeClient(base_url)
     def _setup_call(fn, *fn_args):
         """Setup RPCs retried like queries (registration and publish
@@ -626,7 +616,6 @@ def run_replay(
         }
         for item in schedule:
             by_tenant[item.tenant].append(item)
-        obs.on_run_start(f"replay/{manifest.name}", len(by_tenant), 0)
         # Deterministic per-query idempotency keys: the same manifest
         # always re-presents the same key for the same slot, so a
         # replay resumed across a server crash stays exactly-once.
@@ -638,10 +627,7 @@ def run_replay(
         lock = threading.Lock()
         started_monotonic = time.monotonic()
         workers = []
-        for seed, (tenant_name, items) in enumerate(
-            sorted(by_tenant.items())
-        ):
-            obs.on_dispatch(f"replay/{manifest.name}", [seed])
+        for tenant_name, items in sorted(by_tenant.items()):
             worker = threading.Thread(
                 target=_tenant_worker,
                 args=(
@@ -652,16 +638,11 @@ def run_replay(
                 name=f"replay-{manifest.name}-{tenant_name}",
                 daemon=True,
             )
-            workers.append((seed, tenant_name, worker))
+            workers.append(worker)
             worker.start()
-        for seed, tenant_name, worker in workers:
+        for worker in workers:
             worker.join()
-            obs.on_seed_done(
-                f"replay/{manifest.name}", seed,
-                {"tenant": tenant_name},
-            )
         elapsed = time.monotonic() - started_monotonic
-        obs.on_run_end(f"replay/{manifest.name}")
         try:
             server_stats = client.stats()
         except _TRANSPORT_ERRORS:

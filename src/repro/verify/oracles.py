@@ -55,6 +55,7 @@ from repro.baselines.boost import build_tree_sums, consistent_leaves
 from repro.baselines.privelet import haar_inverse, haar_transform
 from repro.core.publisher import Publisher
 from repro.hist.histogram import Histogram
+from repro.mechanisms.sensitivity import contract_sensitivity
 from repro.partition.partition import Partition
 from repro.verify.linearity import linear_operator_matrix, output_covariance
 from repro.workloads.workload import Workload
@@ -656,8 +657,12 @@ def uniform_stream_oracle(n: int, epsilon: float, w: int) -> ErrorOracle:
 # ---------------------------------------------------------------------------
 
 def _dwork(histogram, epsilon, meta, memo) -> ErrorOracle:
+    # The privacy contract's sensitivity, never the noise the publish
+    # recorded: a mis-scaled mechanism must show up as drift.
     n = histogram.size
-    return memo(("dwork", n, epsilon), lambda: dwork_oracle(n, epsilon))
+    sensitivity = contract_sensitivity(meta)
+    return memo(("dwork", n, epsilon, sensitivity),
+                lambda: dwork_oracle(n, epsilon, sensitivity))
 
 
 def _uniform(histogram, epsilon, meta, memo) -> ErrorOracle:
@@ -684,7 +689,8 @@ def _noisefirst(histogram, epsilon, meta, memo) -> ErrorOracle:
     partition = meta.get("partition")
     if partition is None:  # adaptive NF fell back to the identity
         return _dwork(histogram, epsilon, meta, memo)
-    return noisefirst_oracle(histogram.counts, partition, epsilon)
+    return noisefirst_oracle(histogram.counts, partition, epsilon,
+                             contract_sensitivity(meta))
 
 
 def _structurefirst(histogram, epsilon, meta, memo) -> ErrorOracle:
@@ -792,12 +798,13 @@ class OracleCache:
     Dwork, Boost, Privelet and a NoiseFirst publish that fell back to
     the identity depend only on the publisher, ``n``, ε and the meta
     fields :meth:`from_result` reads (Boost's branching and
-    consistency), so each is built once per such key.  The linear maps
-    of Boost's and DAWA-lite's interval trees depend only on (leaves,
-    branching, consistency) and Privelet's Haar inverse only on ``n``;
-    each is built once as well, which covers DAWA-lite's bucket tree
-    for every partition of the same ``k``.  Everything cached is
-    read-only: writing to a cached oracle's arrays raises.
+    consistency, the recorded ``neighbours`` convention), so each is
+    built once per such key.  The linear maps of Boost's and
+    DAWA-lite's interval trees depend only on (leaves, branching,
+    consistency) and Privelet's Haar inverse only on ``n``; each is
+    built once as well, which covers DAWA-lite's bucket tree for every
+    partition of the same ``k``.  Everything cached is read-only:
+    writing to a cached oracle's arrays raises.
 
     An owner that anchors many trials keeps one cache (the history
     store keeps one per store); :func:`oracle_from_result` is the

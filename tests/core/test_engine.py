@@ -127,12 +127,13 @@ class TestCalibration:
         assert 0.90 <= covered / n_runs <= 0.995
 
 
-#: (oracle name, publisher factory taking a bucket count).
+#: (oracle name, publisher factory taking a bucket count and a
+#: neighbouring-dataset convention).
 _WITH_ERROR_MODEL = [
-    ("noisefirst", lambda k: NoiseFirst()),
-    ("noisefirst", lambda k: NoiseFirst(k=k)),
-    ("structurefirst", lambda k: StructureFirst(k=k)),
-    ("dwork", lambda k: DworkIdentity()),
+    ("noisefirst", lambda k, nb: NoiseFirst(neighbours=nb)),
+    ("noisefirst", lambda k, nb: NoiseFirst(k=k, neighbours=nb)),
+    ("structurefirst", lambda k, nb: StructureFirst(k=k)),
+    ("dwork", lambda k, nb: DworkIdentity(neighbours=nb)),
 ]
 
 
@@ -142,12 +143,13 @@ def _range_on_a_publish(draw):
     n = len(counts)
     name, factory = draw(st.sampled_from(_WITH_ERROR_MODEL))
     k = draw(st.integers(1, n))
+    neighbours = draw(st.sampled_from(["unbounded", "bounded"]))
     epsilon = draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))
     seed = draw(st.integers(0, 2**16))
     lo = draw(st.integers(0, n - 1))
     hi = draw(st.integers(lo, n - 1))
     hist = Histogram.from_counts(np.asarray(counts, dtype=float))
-    return name, factory(k), hist, epsilon, seed, lo, hi
+    return name, factory(k, neighbours), hist, epsilon, seed, lo, hi
 
 
 class TestAgreesWithOracle:
@@ -162,3 +164,33 @@ class TestAgreesWithOracle:
         oracle = oracle_from_result(name, hist, epsilon, result)
         assert math.isclose(engine, oracle.range_variance(lo, hi),
                             rel_tol=1e-12)
+
+
+class TestBoundedNeighbours:
+    """Bounded neighbours double the Laplace sensitivity, so the noise
+    variance is 4x the unbounded one; error bars and oracles must say so.
+
+    Four well-separated steps pin NoiseFirst's k=4 partition to the
+    steps, so the 4-bin range [0, 3] is one whole bucket for every seed.
+    """
+
+    @pytest.mark.parametrize("name,publisher", [
+        ("noisefirst", NoiseFirst(k=4, neighbours="bounded")),
+        ("dwork", DworkIdentity(neighbours="bounded")),
+    ])
+    def test_range_variance_matches_measured(self, name, publisher):
+        hist = Histogram.from_counts(np.repeat([0.0, 1e3, 2e3, 3e3], 4))
+        eps = 1.0
+        sums = [
+            publisher.publish(hist, budget=eps, rng=seed).histogram
+            .range_sum(0, 3)
+            for seed in range(2000)
+        ]
+        measured = float(np.var(sums))
+        assert measured == pytest.approx(32.0, rel=0.1)  # 4 bins * 8/eps^2
+        result = publisher.publish(hist, budget=eps, rng=0)
+        engine = RangeEngine(result).range(0, 3).std ** 2
+        oracle = oracle_from_result(name, hist, eps, result)
+        assert engine == pytest.approx(measured, rel=0.1)
+        assert oracle.range_variance(0, 3) == pytest.approx(measured,
+                                                            rel=0.1)

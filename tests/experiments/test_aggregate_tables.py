@@ -1,83 +1,8 @@
-"""Tests for aggregation and table rendering."""
+"""Tests for table rendering."""
 
 import pytest
 
-from repro.experiments.aggregate import Aggregate, aggregate_records
-from repro.experiments.runner import RunRecord
 from repro.experiments.tables import Table, render_table
-
-
-def _record(seed, kl):
-    return RunRecord(
-        spec_name="t", publisher="p", seed=seed, epsilon=0.1,
-        seconds=0.0, kl=kl, ks=0.0,
-    )
-
-
-class TestAggregate:
-    def test_mean_and_std(self):
-        agg = aggregate_records([_record(0, 1.0), _record(1, 3.0)],
-                                lambda r: r.kl)
-        assert agg.mean == 2.0
-        assert agg.std == pytest.approx(1.4142, rel=1e-3)
-        assert agg.n == 2
-
-    def test_single_record_zero_std(self):
-        agg = aggregate_records([_record(0, 1.0)], lambda r: r.kl)
-        assert agg.std == 0.0
-        assert agg.sem == 0.0
-
-    def test_sem(self):
-        agg = Aggregate(mean=0.0, std=2.0, n=4)
-        assert agg.sem == 1.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            aggregate_records([], lambda r: r.kl)
-
-    def test_str_forms(self):
-        assert "±" in str(Aggregate(mean=1.0, std=0.5, n=3))
-        assert "±" not in str(Aggregate(mean=1.0, std=0.0, n=1))
-
-
-class TestFailedRecordAggregation:
-    """Skip-and-report: quarantined cells are excluded from the moments
-    but surfaced through ``n_failed`` (and ``strict=True`` refuses)."""
-
-    def _failed(self, seed):
-        from repro.robust.records import FailedRecord
-
-        return FailedRecord(
-            spec_name="t", publisher="p", seed=seed, epsilon=0.1,
-            error="TrialQuarantinedError", cause="InjectedFault: boom",
-        )
-
-    def test_failed_records_are_skipped_and_counted(self):
-        records = [_record(0, 1.0), self._failed(1), _record(2, 3.0)]
-        agg = aggregate_records(records, lambda r: r.kl)
-        assert agg.mean == 2.0 and agg.n == 2
-        assert agg.n_failed == 1
-
-    def test_str_reports_failures(self):
-        agg = aggregate_records(
-            [_record(0, 1.0), self._failed(1)], lambda r: r.kl
-        )
-        assert "failed" in str(agg)
-        clean = aggregate_records([_record(0, 1.0)], lambda r: r.kl)
-        assert "failed" not in str(clean)
-
-    def test_strict_raises_on_any_failure(self):
-        from repro.exceptions import TrialQuarantinedError
-
-        records = [_record(0, 1.0), self._failed(1)]
-        with pytest.raises(TrialQuarantinedError):
-            aggregate_records(records, lambda r: r.kl, strict=True)
-
-    def test_all_failed_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_records(
-                [self._failed(0), self._failed(1)], lambda r: r.kl
-            )
 
 
 class TestTable:

@@ -1,4 +1,4 @@
-"""Process-pool execution of ``run_matrix``: determinism and plumbing.
+"""Process-pool execution of ``supervise``: determinism and plumbing.
 
 The contract under test: a parallel run is *bit-identical* to a serial
 run in every statistical field (only wall-clock may differ), because
@@ -18,11 +18,11 @@ from repro.datasets.generators import step_histogram
 from repro.experiments.runner import (
     records_equal,
     resolve_n_jobs,
-    run_matrix,
     run_once,
     strip_timing,
 )
 from repro.experiments.spec import ExperimentSpec
+from repro.robust.executor import supervise
 from repro.workloads.builders import unit_queries
 
 
@@ -93,41 +93,41 @@ class TestParallelBitIdentical:
                                          StructureFirst])
     def test_parallel_matches_serial(self, step_hist, factory):
         spec = _spec(step_hist, factory=factory)
-        serial = run_matrix(spec, n_jobs=1)
-        parallel = run_matrix(spec, n_jobs=4)
+        serial = supervise([spec], n_jobs=1)[0]
+        parallel = supervise([spec], n_jobs=4)[0]
         assert len(serial) == len(parallel) == len(spec.seeds)
         for a, b in zip(serial, parallel):
             assert records_equal(a, b), (a.seed, b.seed)
 
     def test_spec_n_jobs_is_the_default(self, step_hist):
         spec = _spec(step_hist, n_jobs=2)
-        parallel = run_matrix(spec)  # no override: uses spec.n_jobs=2
-        serial = run_matrix(spec, n_jobs=1)
+        parallel = supervise([spec])[0]  # no override: uses spec.n_jobs=2
+        serial = supervise([spec], n_jobs=1)[0]
         for a, b in zip(serial, parallel):
             assert records_equal(a, b)
 
     def test_seed_order_preserved(self, step_hist):
         spec = _spec(step_hist, seeds=(5, 3, 11, 2))
-        records = run_matrix(spec, n_jobs=4)
+        records = supervise([spec], n_jobs=4)[0]
         assert [r.seed for r in records] == [5, 3, 11, 2]
 
     def test_unpicklable_spec_falls_back_to_serial(self, step_hist):
         spec = _spec(step_hist, factory=lambda: DworkIdentity())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            records = run_matrix(spec, n_jobs=4)
+            records = supervise([spec], n_jobs=4)[0]
         assert len(records) == len(spec.seeds)
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
         # Fallback still produces the same numbers as an explicit serial run.
-        serial = run_matrix(spec, n_jobs=1)
+        serial = supervise([spec], n_jobs=1)[0]
         for a, b in zip(serial, records):
             assert records_equal(a, b)
 
     def test_single_seed_stays_serial(self, step_hist):
         # No pool spin-up for one seed; result identical either way.
         spec = _spec(step_hist, seeds=(9,))
-        a = run_matrix(spec, n_jobs=4)
-        b = run_matrix(spec, n_jobs=1)
+        a = supervise([spec], n_jobs=4)[0]
+        b = supervise([spec], n_jobs=1)[0]
         assert records_equal(a[0], b[0])
 
 
@@ -141,13 +141,13 @@ class TestRecordMetadata:
         assert record.meta["t_eval_seconds"] >= 0.0
 
     def test_run_matrix_injects_spec_epsilon(self, step_hist):
-        records = run_matrix(_spec(step_hist))
+        records = supervise([_spec(step_hist)])[0]
         for record in records:
             assert record.meta["spec_epsilon"] == 0.5
             assert record.epsilon == 0.5
 
     def test_strip_timing_removes_wallclock_only(self, step_hist):
-        record = run_matrix(_spec(step_hist, seeds=(0,)))[0]
+        record = supervise([_spec(step_hist, seeds=(0,))])[0][0]
         stripped = strip_timing(record)
         assert stripped.seconds == 0.0
         # Reserved timing keys are *removed*, not zeroed, so records with
@@ -159,8 +159,8 @@ class TestRecordMetadata:
 
     def test_records_equal_ignores_timing_by_default(self, step_hist):
         spec = _spec(step_hist, seeds=(0,))
-        a = run_matrix(spec)[0]
-        b = run_matrix(spec)[0]
+        a = supervise([spec])[0][0]
+        b = supervise([spec])[0][0]
         assert a.seconds != 0.0 or b.seconds != 0.0 or True
         assert records_equal(a, b)
         assert not records_equal(
@@ -170,8 +170,8 @@ class TestRecordMetadata:
     def test_records_equal_detects_statistical_differences(self, step_hist):
         spec_a = _spec(step_hist, seeds=(0,))
         spec_b = _spec(step_hist, seeds=(1,))
-        a = run_matrix(spec_a)[0]
-        b = run_matrix(spec_b)[0]
+        a = supervise([spec_a])[0][0]
+        b = supervise([spec_b])[0][0]
         assert not records_equal(a, b)
 
 
@@ -179,8 +179,8 @@ class TestNumpyArrayMeta:
     def test_records_equal_handles_array_meta(self, step_hist):
         # NoiseFirst stores numpy arrays in meta; plain == would raise.
         spec = _spec(step_hist, factory=NoiseFirst, seeds=(0,))
-        a = run_matrix(spec)[0]
-        b = run_matrix(spec)[0]
+        a = supervise([spec])[0][0]
+        b = supervise([spec])[0][0]
         assert isinstance(
             a.meta.get("noisy_sse_by_k"), (np.ndarray, type(None))
         )
@@ -192,7 +192,7 @@ class TestNaNAwareEquality:
     so any record with a NaN metric compared unequal *to itself*."""
 
     def _record(self, step_hist):
-        return run_matrix(_spec(step_hist, seeds=(0,)))[0]
+        return supervise([_spec(step_hist, seeds=(0,))])[0][0]
 
     def test_record_with_nan_metric_equals_itself(self, step_hist):
         import dataclasses
@@ -268,10 +268,10 @@ class TestSpecShippedOncePerPool:
             step_hist, factory=_CountingFactory(),
             seeds=tuple(range(8)),
         )
-        serial = run_matrix(spec, n_jobs=1)
+        serial = supervise([spec], n_jobs=1)[0]
 
         _CountingFactory.pickles = 0
-        parallel = run_matrix(spec, n_jobs=2)
+        parallel = supervise([spec], n_jobs=2)[0]
         assert _CountingFactory.pickles == 1  # probe == payload
         # Shipping once changes nothing statistically.
         for a, b in zip(serial, parallel):
@@ -280,7 +280,7 @@ class TestSpecShippedOncePerPool:
     def test_serial_run_never_pickles(self, step_hist):
         spec = _spec(step_hist, factory=_CountingFactory(), seeds=(0, 1))
         _CountingFactory.pickles = 0
-        run_matrix(spec, n_jobs=1)
+        supervise([spec], n_jobs=1)
         assert _CountingFactory.pickles == 0
 
 
@@ -296,7 +296,7 @@ class TestSerialFallbackUnderSupervision:
         journal = CheckpointJournal(tmp_path / "j.jsonl")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            records = run_matrix(spec, n_jobs=4, journal=journal, retries=1)
+            records = supervise([spec], n_jobs=4, journal=journal, retries=1)[0]
         assert any(
             issubclass(w.category, RuntimeWarning)
             and "not picklable" in str(w.message)
@@ -304,7 +304,7 @@ class TestSerialFallbackUnderSupervision:
         )
         done = journal.seeds_done(spec_fingerprint(spec))
         assert sorted(done) == sorted(spec.seeds)
-        resumed = run_matrix(spec, n_jobs=1, journal=journal, resume=True)
+        resumed = supervise([spec], n_jobs=1, journal=journal, resume=True)[0]
         for a, b in zip(records, resumed):
             assert records_equal(a, b)
 
@@ -312,7 +312,7 @@ class TestSerialFallbackUnderSupervision:
         spec = _spec(step_hist, seeds=(0, 1))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_matrix(spec, n_jobs=1, timeout=5.0)
+            supervise([spec], n_jobs=1, timeout=5.0)
         assert any(
             "not enforced in serial" in str(w.message) for w in caught
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mechanisms.sensitivity import (
+    contract_sensitivity,
     histogram_sensitivity,
     range_sum_sensitivity,
     sse_sensitivity_bound,
@@ -20,6 +21,22 @@ class TestHistogramSensitivity:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
             histogram_sensitivity("weird")
+
+
+class TestContractSensitivity:
+    """The sensitivity a publish's recorded neighbours convention owes."""
+
+    @pytest.mark.parametrize("meta,expected", [
+        ({}, 1.0),  # a journal written before the key existed
+        ({"neighbours": "unbounded"}, 1.0),
+        ({"neighbours": "bounded", "noise_variance": 2.0}, 2.0),
+    ])
+    def test_reads_recorded_neighbours(self, meta, expected):
+        assert contract_sensitivity(meta) == expected
+
+    def test_rejects_unknown(self):
+        with pytest.raises(ValueError):
+            contract_sensitivity({"neighbours": "weird"})
 
 
 class TestRangeSumSensitivity:

@@ -381,7 +381,7 @@ class TestUtilityIngestion:
 
     @pytest.fixture(scope="class")
     def scenario_journal(self, tmp_path_factory):
-        from repro.experiments.runner import run_matrix
+        from repro.robust.executor import supervise
         from repro.scenarios import build_scenario_specs
 
         path = tmp_path_factory.mktemp("scenario") / "scenario.jsonl"
@@ -390,7 +390,7 @@ class TestUtilityIngestion:
             scenarios=["smooth/gmm-64"], publishers=["dwork"],
             epsilons=(1.0,), n_seeds=2,
         )
-        run_matrix(spec, journal=j)
+        supervise([spec], journal=j)
         return j
 
     def test_one_row_per_trial_workload(self, store, scenario_journal,
@@ -469,7 +469,7 @@ class TestUtilityIngestion:
         """Acceptance: a 2/eps mis-scaled publisher, run through the real
         pipeline under dwork's name, produces a fatal utility verdict."""
         from repro.baselines.dwork import DworkIdentity
-        from repro.experiments.runner import run_matrix
+        from repro.robust.executor import supervise
         from repro.experiments.spec import ExperimentSpec
         from repro.obs.drift import has_confirmed_drift, utility_verdicts
         from repro.scenarios import get_scenario
@@ -493,7 +493,7 @@ class TestUtilityIngestion:
             seeds=(0, 1),
         )
         j = CheckpointJournal(tmp_path / "misscaled.jsonl")
-        run_matrix(spec, journal=j)
+        supervise([spec], journal=j)
         monkeypatch.setenv("REPRO_COMMIT", "c1")
         store.ingest_journal_utility(j.path)
         verdicts = utility_verdicts(store)
@@ -503,6 +503,46 @@ class TestUtilityIngestion:
         unit = by_workload["unit"]
         assert unit.status == "drift"
         assert unit.ratio == pytest.approx(4.0, rel=0.4)
+        assert has_confirmed_drift(verdicts)
+
+    @pytest.mark.parametrize("sensitivity,ratio", [(2.0, 4.0), (0.5, 0.25)])
+    def test_misscaled_mechanism_is_anchored_to_its_contract(
+        self, store, tmp_path, monkeypatch, sensitivity, ratio
+    ):
+        """A Dwork whose Laplace mechanism runs at the wrong sensitivity
+        records that mechanism's own noise_variance; the anchor must
+        still be the unbounded contract's 2/eps^2, so over-noising
+        confirms drift from above and under-noising from below."""
+        from repro.baselines.dwork import DworkIdentity
+        from repro.robust.executor import supervise
+        from repro.obs.drift import has_confirmed_drift, utility_verdicts
+        from repro.scenarios import build_scenario_specs
+
+        class MisScaledDwork(DworkIdentity):
+            def __init__(self):
+                super().__init__()
+                self.sensitivity = sensitivity
+
+        (spec,) = build_scenario_specs(
+            scenarios=["smooth/gmm-64"], publishers=["dwork"],
+            epsilons=(1.0,), n_seeds=2,
+        )
+        spec = type(spec)(
+            **{**spec.__dict__, "publisher_factory": MisScaledDwork}
+        )
+        j = CheckpointJournal(tmp_path / "misscaled-dwork.jsonl")
+        supervise([spec], journal=j)
+        monkeypatch.setenv("REPRO_COMMIT", "c1")
+        store.ingest_journal_utility(j.path)
+        (point,) = store.utility_series(
+            "smooth", "gmm-64", "dwork", 1.0, "unit"
+        )
+        assert point["oracle_kind"] == "exact"
+        assert point["oracle_mse"] == pytest.approx(2.0)  # 2/eps^2
+        verdicts = utility_verdicts(store)
+        unit = [v for v in verdicts if v.cell.endswith("unit]")][0]
+        assert unit.status == "drift"
+        assert unit.ratio == pytest.approx(ratio, rel=0.4)
         assert has_confirmed_drift(verdicts)
 
 
@@ -515,7 +555,7 @@ class TestNoiseFirstAnchoring:
 
     @pytest.fixture(scope="class")
     def step_journal(self, tmp_path_factory):
-        from repro.experiments.runner import run_matrix
+        from repro.robust.executor import supervise
         from repro.scenarios import build_scenario_specs
 
         path = tmp_path_factory.mktemp("nf") / "step.jsonl"
@@ -524,7 +564,7 @@ class TestNoiseFirstAnchoring:
             scenarios=["step/step-64"], publishers=["noisefirst"],
             epsilons=(1.0,), n_seeds=2,
         )
-        run_matrix(spec, journal=j)
+        supervise([spec], journal=j)
         return j
 
     def test_merged_nf_anchors_to_identity_upper_bound(
@@ -555,7 +595,7 @@ class TestNoiseFirstAnchoring:
         self, store, tmp_path, monkeypatch
     ):
         from repro.core.noise_first import NoiseFirst
-        from repro.experiments.runner import run_matrix
+        from repro.robust.executor import supervise
         from repro.obs.drift import has_confirmed_drift, utility_verdicts
         from repro.scenarios import build_scenario_specs
 
@@ -572,7 +612,7 @@ class TestNoiseFirstAnchoring:
             **{**spec.__dict__, "publisher_factory": MisScaledNF}
         )
         j = CheckpointJournal(tmp_path / "mis-nf.jsonl")
-        run_matrix(spec, journal=j)
+        supervise([spec], journal=j)
         monkeypatch.setenv("REPRO_COMMIT", "c1")
         store.ingest_journal_utility(j.path)
         verdicts = utility_verdicts(store)
@@ -580,6 +620,42 @@ class TestNoiseFirstAnchoring:
         assert unit.status == "drift"
         assert unit.ratio > 1.0 + unit.band
         assert has_confirmed_drift(verdicts)
+
+    @pytest.mark.parametrize("publisher", ["noisefirst", "dwork"])
+    def test_honest_bounded_publish_anchors_at_sensitivity_two(
+        self, store, tmp_path, monkeypatch, publisher
+    ):
+        """Bounded neighbours double the sensitivity: merged NoiseFirst's
+        identity bound and Dwork's exact oracle are 2(2/eps)^2 a bin, so
+        honest bounded runs stay green instead of reading 4x drift."""
+        import functools
+
+        from repro.baselines.dwork import DworkIdentity
+        from repro.core.noise_first import NoiseFirst
+        from repro.robust.executor import supervise
+        from repro.obs.drift import has_confirmed_drift, utility_verdicts
+        from repro.scenarios import build_scenario_specs
+
+        cls = {"noisefirst": NoiseFirst, "dwork": DworkIdentity}[publisher]
+        (spec,) = build_scenario_specs(
+            scenarios=["step/step-64"], publishers=[publisher],
+            epsilons=(1.0,), n_seeds=4,
+        )
+        spec = type(spec)(**{
+            **spec.__dict__,
+            "publisher_factory": functools.partial(cls, neighbours="bounded"),
+        })
+        j = CheckpointJournal(tmp_path / "bounded.jsonl")
+        supervise([spec], journal=j)
+        monkeypatch.setenv("REPRO_COMMIT", "c1")
+        store.ingest_journal_utility(j.path)
+        (point,) = store.utility_series(
+            "step", "step-64", publisher, 1.0, "unit"
+        )
+        assert point["oracle_mse"] == pytest.approx(8.0)  # 2 (2/eps)^2
+        verdicts = utility_verdicts(store)
+        assert {v.status for v in verdicts} == {"ok"}
+        assert not has_confirmed_drift(verdicts)
 
 
 class TestPriorCellStats:

@@ -233,10 +233,10 @@ class TestWorkerRoundTrip:
         )
 
     def test_parallel_traced_records_carry_trees(self, spec, monkeypatch):
-        from repro.experiments.runner import run_matrix
+        from repro.robust.executor import supervise
 
         monkeypatch.setenv(trace.ENV_VAR, "1")
-        records = run_matrix(spec, n_jobs=2)
+        records = supervise([spec], n_jobs=2)[0]
         assert len(records) == len(spec.seeds)
         for record in records:
             tree = record.meta.get("trace")
@@ -247,12 +247,13 @@ class TestWorkerRoundTrip:
             assert "trial/evaluate" in paths
 
     def test_traced_matches_untraced_bit_for_bit(self, spec, monkeypatch):
-        from repro.experiments.runner import records_equal, run_matrix
+        from repro.experiments.runner import records_equal
+        from repro.robust.executor import supervise
 
         monkeypatch.delenv(trace.ENV_VAR, raising=False)
-        plain = run_matrix(spec, n_jobs=1)
+        plain = supervise([spec], n_jobs=1)[0]
         monkeypatch.setenv(trace.ENV_VAR, "1")
-        traced = run_matrix(spec, n_jobs=2)
+        traced = supervise([spec], n_jobs=2)[0]
         for a, b in zip(plain, traced):
             assert "trace" not in a.meta
             assert "trace" in b.meta

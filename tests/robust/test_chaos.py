@@ -13,7 +13,8 @@ from repro.exceptions import (
     TrialTimeoutError,
     WorkerCrashError,
 )
-from repro.experiments.runner import records_equal, run_matrix
+from repro.experiments.runner import records_equal
+from repro.robust.executor import supervise
 from repro.robust.faults import InjectedFault
 from repro.robust.journal import CheckpointJournal, spec_fingerprint
 from repro.robust.records import FailedRecord, is_failed
@@ -34,13 +35,13 @@ class TestKilledWorker:
         """A worker killed mid-matrix: pool respawns, only missing seeds
         re-dispatch, results match the serial run exactly."""
         spec = make_spec(seeds=(0, 1, 2, 3, 4, 5))
-        serial = run_matrix(spec, n_jobs=1)
+        serial = supervise([spec], n_jobs=1)[0]
         fault_env([{"action": "kill", "seed": 2, "times": 2}])
         journal = CheckpointJournal(tmp_path / "j.jsonl")
-        supervised = run_matrix(
-            spec, n_jobs=3, retries=3, journal=journal, strict=False,
+        supervised = supervise(
+            [spec], n_jobs=3, retries=3, journal=journal, strict=False,
             sleep=no_sleep,
-        )
+        )[0]
         _assert_matches_serial(serial, supervised)
         # Zero completed records lost: every seed journaled exactly once.
         keys = [e["key"]["seed"] for e in journal.entries()]
@@ -52,11 +53,11 @@ class TestKilledWorker:
         """A seed that kills its worker on every attempt ends as a
         FailedRecord; the rest of the matrix completes untouched."""
         spec = make_spec(seeds=(0, 1, 2, 3))
-        serial = run_matrix(spec, n_jobs=1)
+        serial = supervise([spec], n_jobs=1)[0]
         fault_env([{"action": "kill", "seed": 1}])  # times=None: always
-        records = run_matrix(
-            spec, n_jobs=2, retries=2, strict=False, sleep=no_sleep
-        )
+        records = supervise(
+            [spec], n_jobs=2, retries=2, strict=False, sleep=no_sleep
+        )[0]
         assert is_failed(records[1])
         assert records[1].error == "TrialQuarantinedError"
         assert "WorkerCrashError" in records[1].cause
@@ -69,8 +70,8 @@ class TestKilledWorker:
     ):
         fault_env([{"action": "kill", "seed": 1}])
         with pytest.raises(WorkerCrashError):
-            run_matrix(
-                make_spec(seeds=(0, 1, 2, 3)), n_jobs=2, retries=0,
+            supervise(
+                [make_spec(seeds=(0, 1, 2, 3))], n_jobs=2, retries=0,
                 strict=True, sleep=no_sleep,
             )
 
@@ -82,24 +83,24 @@ class TestHungWorker:
         """A hung trial is detected by the timeout, its worker killed,
         and the retried seed reproduces the serial record exactly."""
         spec = make_spec(seeds=(0, 1, 2, 3))
-        serial = run_matrix(spec, n_jobs=1)
+        serial = supervise([spec], n_jobs=1)[0]
         fault_env([
             {"action": "hang", "seed": 3, "times": 1, "hang_seconds": 60},
         ])
-        supervised = run_matrix(
-            spec, n_jobs=2, timeout=2.0, retries=2, strict=False,
+        supervised = supervise(
+            [spec], n_jobs=2, timeout=2.0, retries=2, strict=False,
             sleep=no_sleep,
-        )
+        )[0]
         _assert_matches_serial(serial, supervised)
 
     def test_perma_hang_quarantines_with_timeout_cause(
         self, make_spec, fault_env, no_sleep
     ):
         fault_env([{"action": "hang", "seed": 0, "hang_seconds": 60}])
-        records = run_matrix(
-            make_spec(seeds=(0, 1)), n_jobs=2, timeout=1.0, retries=1,
+        records = supervise(
+            [make_spec(seeds=(0, 1))], n_jobs=2, timeout=1.0, retries=1,
             strict=False, sleep=no_sleep,
-        )
+        )[0]
         assert is_failed(records[0])
         assert "timeout" in records[0].cause.lower()
         assert not is_failed(records[1])
@@ -115,8 +116,8 @@ class TestHungWorker:
         fault_env([{"action": "hang", "seed": 0, "hang_seconds": 60}])
         start = _time.monotonic()
         with pytest.raises(TrialTimeoutError):
-            run_matrix(
-                make_spec(seeds=(0, 1)), n_jobs=2, timeout=1.0, retries=0,
+            supervise(
+                [make_spec(seeds=(0, 1))], n_jobs=2, timeout=1.0, retries=0,
                 strict=True, sleep=no_sleep,
             )
         elapsed = _time.monotonic() - start
@@ -133,11 +134,11 @@ class TestPoisonRaise:
         """Retries re-run the same seed RNG: a flaky trial that fails
         twice then succeeds yields the exact serial record."""
         spec = make_spec(seeds=(0, 1, 2, 3))
-        serial = run_matrix(spec, n_jobs=1)
+        serial = supervise([spec], n_jobs=1)[0]
         fault_env([{"action": "raise", "seed": 2, "times": 2}])
-        supervised = run_matrix(
-            spec, n_jobs=2, retries=2, strict=False, sleep=no_sleep
-        )
+        supervised = supervise(
+            [spec], n_jobs=2, retries=2, strict=False, sleep=no_sleep
+        )[0]
         _assert_matches_serial(serial, supervised)
         # Exponential backoff between the retries of the struck seed.
         assert no_sleep.delays == [0.5, 1.0]
@@ -146,11 +147,11 @@ class TestPoisonRaise:
         self, make_spec, fault_env, no_sleep
     ):
         spec = make_spec(seeds=(0, 1, 2, 3))
-        serial = run_matrix(spec, n_jobs=1)
+        serial = supervise([spec], n_jobs=1)[0]
         fault_env([{"action": "raise", "seed": 1}])
-        records = run_matrix(
-            spec, n_jobs=2, retries=2, strict=False, sleep=no_sleep
-        )
+        records = supervise(
+            [spec], n_jobs=2, retries=2, strict=False, sleep=no_sleep
+        )[0]
         failed = records[1]
         assert isinstance(failed, FailedRecord)
         assert failed.error == "TrialQuarantinedError"
@@ -164,8 +165,8 @@ class TestPoisonRaise:
     ):
         fault_env([{"action": "raise", "seed": 0}])
         with pytest.raises(InjectedFault):
-            run_matrix(
-                make_spec(seeds=(0, 1)), n_jobs=2, retries=1, strict=True,
+            supervise(
+                [make_spec(seeds=(0, 1))], n_jobs=2, retries=1, strict=True,
                 sleep=no_sleep,
             )
 
@@ -186,10 +187,10 @@ class TestPoisonRaise:
             journaled = sorted(e["key"]["seed"] for e in journal.entries())
             observed.append((seconds, journaled))
 
-        records = run_matrix(
-            spec, n_jobs=2, retries=1, journal=journal, strict=False,
+        records = supervise(
+            [spec], n_jobs=2, retries=1, journal=journal, strict=False,
             sleep=recording_sleep,
-        )
+        )[0]
         # One backoff (seed 0's single retry), served only after the
         # sibling seed 1 was banked in the journal.
         assert observed == [(0.5, [1])]
@@ -200,14 +201,14 @@ class TestPoisonRaise:
     ):
         spec = make_spec(seeds=(0, 1, 2))
         fault_env([{"action": "raise", "seed": 1, "times": 1}])
-        records = run_matrix(
-            spec, n_jobs=1, retries=1, strict=False, sleep=no_sleep
-        )
+        records = supervise(
+            [spec], n_jobs=1, retries=1, strict=False, sleep=no_sleep
+        )[0]
         assert not any(is_failed(r) for r in records)
         fault_env([{"action": "raise", "seed": 1}])
-        records = run_matrix(
-            spec, n_jobs=1, retries=1, strict=False, sleep=no_sleep
-        )
+        records = supervise(
+            [spec], n_jobs=1, retries=1, strict=False, sleep=no_sleep
+        )[0]
         assert is_failed(records[1])
 
 
@@ -222,15 +223,15 @@ class TestNaNCorruption:
         spec = make_spec(seeds=(0, 1, 2))
         journal = CheckpointJournal(tmp_path / "j.jsonl")
         fault_env([{"action": "nan", "seed": 1}])
-        first = run_matrix(spec, n_jobs=2, journal=journal, sleep=no_sleep)
+        first = supervise([spec], n_jobs=2, journal=journal, sleep=no_sleep)[0]
         assert math.isnan(first[1].kl)
         fault_env([{"action": "nan", "seed": 1}])  # reset hit ledger
-        second = run_matrix(spec, n_jobs=1, sleep=no_sleep)
+        second = supervise([spec], n_jobs=1, sleep=no_sleep)[0]
         _assert_matches_serial(first, second)
         # Resume from the journal reproduces the NaN record bit-for-bit.
-        resumed = run_matrix(
-            spec, n_jobs=1, journal=journal, resume=True, sleep=no_sleep
-        )
+        resumed = supervise(
+            [spec], n_jobs=1, journal=journal, resume=True, sleep=no_sleep
+        )[0]
         _assert_matches_serial(first, resumed)
         assert math.isnan(resumed[1].kl)
 
@@ -243,12 +244,12 @@ class TestJournalResume:
         completes the matrix; every seed is journaled exactly once
         across both runs (completed work was neither lost nor redone)."""
         spec = make_spec(seeds=(0, 1, 2, 3, 4, 5))
-        serial = run_matrix(spec, n_jobs=1)
+        serial = supervise([spec], n_jobs=1)[0]
         journal = CheckpointJournal(tmp_path / "j.jsonl")
         fault_env([{"action": "raise", "seed": 4}])
         with pytest.raises(InjectedFault):
-            run_matrix(
-                spec, n_jobs=2, retries=0, strict=True, journal=journal,
+            supervise(
+                [spec], n_jobs=2, retries=0, strict=True, journal=journal,
                 sleep=no_sleep,
             )
         done_before = set(
@@ -257,9 +258,9 @@ class TestJournalResume:
         assert done_before  # some seeds finished before the failure
         assert 4 not in done_before
         fault_env([])  # clear the fault
-        resumed = run_matrix(
-            spec, n_jobs=2, journal=journal, resume=True, sleep=no_sleep
-        )
+        resumed = supervise(
+            [spec], n_jobs=2, journal=journal, resume=True, sleep=no_sleep
+        )[0]
         _assert_matches_serial(serial, resumed)
         keys = [e["key"]["seed"] for e in journal.entries()]
         assert sorted(keys) == [0, 1, 2, 3, 4, 5]  # exactly once each
@@ -269,11 +270,11 @@ class TestJournalResume:
     ):
         spec = make_spec(seeds=(0, 1, 2))
         journal = CheckpointJournal(tmp_path / "j.jsonl")
-        first = run_matrix(spec, n_jobs=2, journal=journal, sleep=no_sleep)
+        first = supervise([spec], n_jobs=2, journal=journal, sleep=no_sleep)[0]
         size_before = journal.path.stat().st_size
-        again = run_matrix(
-            spec, n_jobs=2, journal=journal, resume=True, sleep=no_sleep
-        )
+        again = supervise(
+            [spec], n_jobs=2, journal=journal, resume=True, sleep=no_sleep
+        )[0]
         _assert_matches_serial(first, again)
         assert journal.path.stat().st_size == size_before  # no re-runs
 
@@ -282,8 +283,8 @@ class TestJournalResume:
     ):
         spec = make_spec(seeds=(0, 1))
         journal = CheckpointJournal(tmp_path / "j.jsonl")
-        run_matrix(spec, journal=journal, sleep=no_sleep)
-        run_matrix(spec, journal=journal, sleep=no_sleep)
+        supervise([spec], journal=journal, sleep=no_sleep)
+        supervise([spec], journal=journal, sleep=no_sleep)
         keys = [e["key"]["seed"] for e in journal.entries()]
         assert sorted(keys) == [0, 0, 1, 1]  # both runs journaled
         # Later entries win on load; they're identical anyway.
@@ -296,50 +297,50 @@ class TestJournalResume:
         --retry-failed gives them fresh attempts (the transient-failure
         recovery path: fix the environment, then retry the quarantine)."""
         spec = make_spec(seeds=(0, 1, 2))
-        serial = run_matrix(spec, n_jobs=1)
+        serial = supervise([spec], n_jobs=1)[0]
         journal = CheckpointJournal(tmp_path / "j.jsonl")
         fault_env([{"action": "raise", "seed": 1}])
-        first = run_matrix(
-            spec, n_jobs=2, retries=0, strict=False, journal=journal,
+        first = supervise(
+            [spec], n_jobs=2, retries=0, strict=False, journal=journal,
             sleep=no_sleep,
-        )
+        )[0]
         assert is_failed(first[1])
         fault_env([])  # the "transient" failure is fixed
         # Default resume: the quarantine is carried forward, not re-run.
-        kept = run_matrix(
-            spec, n_jobs=2, journal=journal, resume=True, strict=False,
+        kept = supervise(
+            [spec], n_jobs=2, journal=journal, resume=True, strict=False,
             sleep=no_sleep,
-        )
+        )[0]
         assert is_failed(kept[1])
         # --retry-failed: the quarantined seed gets a fresh attempt and
         # now reproduces the serial record bit-identically.
-        retried = run_matrix(
-            spec, n_jobs=2, journal=journal, resume=True,
+        retried = supervise(
+            [spec], n_jobs=2, journal=journal, resume=True,
             retry_failed=True, strict=False, sleep=no_sleep,
-        )
+        )[0]
         _assert_matches_serial(serial, retried)
         # The success is journaled after the quarantine; later-entry-wins
         # means subsequent plain resumes see the healed cell.
-        healed = run_matrix(
-            spec, n_jobs=2, journal=journal, resume=True, strict=False,
+        healed = supervise(
+            [spec], n_jobs=2, journal=journal, resume=True, strict=False,
             sleep=no_sleep,
-        )
+        )[0]
         _assert_matches_serial(serial, healed)
 
     def test_retry_failed_requires_resume(self, make_spec):
         with pytest.raises(ValueError, match="retry_failed"):
-            run_matrix(make_spec(seeds=(0,)), retry_failed=True)
+            supervise([make_spec(seeds=(0,))], retry_failed=True)
 
     def test_stale_fingerprint_entries_are_ignored(
         self, make_spec, tmp_path, no_sleep
     ):
         journal = CheckpointJournal(tmp_path / "j.jsonl")
         other = make_spec(seeds=(0, 1), epsilon=0.25, name="other")
-        run_matrix(other, journal=journal, sleep=no_sleep)
+        supervise([other], journal=journal, sleep=no_sleep)
         spec = make_spec(seeds=(0, 1))
-        records = run_matrix(
-            spec, journal=journal, resume=True, sleep=no_sleep
-        )
+        records = supervise(
+            [spec], journal=journal, resume=True, sleep=no_sleep
+        )[0]
         assert all(r.epsilon == 0.5 for r in records)
-        serial = run_matrix(spec, n_jobs=1)
+        serial = supervise([spec], n_jobs=1)[0]
         _assert_matches_serial(serial, records)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.experiments.runner import run_matrix
+from repro.robust.executor import supervise
 from repro.robust import faults
 
 
@@ -155,7 +155,7 @@ class TestHitCounts:
 
     def test_injected_runs_are_counted(self, make_spec, fault_env):
         fault_env([{"action": "nan", "seed": 1, "times": 1}])
-        run_matrix(make_spec(seeds=(0, 1)))
+        supervise([make_spec(seeds=(0, 1))])
         assert faults.total_hits() == 1
 
 
@@ -163,19 +163,19 @@ class TestInjection:
     def test_raise_action_raises_injected_fault(self, make_spec, fault_env):
         fault_env([{"action": "raise", "seed": 0}])
         with pytest.raises(faults.InjectedFault):
-            run_matrix(make_spec(seeds=(0,)))
+            supervise([make_spec(seeds=(0,))])
 
     def test_raise_respects_seed_selector(self, make_spec, fault_env):
         fault_env([{"action": "raise", "seed": 99}])
-        records = run_matrix(make_spec(seeds=(0, 1)))
+        records = supervise([make_spec(seeds=(0, 1))])[0]
         assert [r.seed for r in records] == [0, 1]
 
     def test_nan_action_corrupts_metrics_only(self, make_spec, fault_env):
         from repro.experiments.runner import records_equal
 
-        clean = run_matrix(make_spec(seeds=(0, 1)))
+        clean = supervise([make_spec(seeds=(0, 1))])[0]
         fault_env([{"action": "nan", "seed": 1}])
-        records = run_matrix(make_spec(seeds=(0, 1)))
+        records = supervise([make_spec(seeds=(0, 1))])[0]
         assert math.isnan(records[1].kl) and math.isnan(records[1].ks)
         assert records[1].meta["fault_injected"] == "nan"
         # Untouched seeds are bit-identical; workload errors survive.

@@ -8,7 +8,8 @@ import pytest
 
 from repro.core import NoiseFirst
 from repro.exceptions import JournalError
-from repro.experiments.runner import records_equal, run_matrix
+from repro.experiments.runner import records_equal
+from repro.robust.executor import supervise
 from repro.robust.journal import (
     CheckpointJournal,
     record_from_payload,
@@ -20,13 +21,13 @@ from repro.robust.records import FailedRecord
 
 class TestRoundTrip:
     def test_run_record_round_trips_bit_identically(self, make_spec):
-        record = run_matrix(make_spec(seeds=(3,)))[0]
+        record = supervise([make_spec(seeds=(3,))])[0][0]
         clone = record_from_payload(record_to_payload(record))
         assert records_equal(record, clone, ignore_timing=False)
 
     def test_numpy_array_meta_round_trips(self, make_spec):
         # NoiseFirst stores numpy arrays in meta.
-        record = run_matrix(make_spec(seeds=(0,), factory=NoiseFirst))[0]
+        record = supervise([make_spec(seeds=(0,), factory=NoiseFirst)])[0][0]
         clone = record_from_payload(record_to_payload(record))
         arr = record.meta["noisy_sse_by_k"]
         back = clone.meta["noisy_sse_by_k"]
@@ -38,7 +39,7 @@ class TestRoundTrip:
     def test_nan_metrics_survive_and_compare_equal(self, make_spec):
         import dataclasses
 
-        record = run_matrix(make_spec(seeds=(0,)))[0]
+        record = supervise([make_spec(seeds=(0,))])[0][0]
         nanned = dataclasses.replace(record, kl=float("nan"))
         clone = record_from_payload(record_to_payload(nanned))
         assert math.isnan(clone.kl)
@@ -71,7 +72,7 @@ class TestMetaCodec:
 
         from repro.partition.partition import Partition
 
-        record = run_matrix(make_spec(seeds=(0,)))[0]
+        record = supervise([make_spec(seeds=(0,))])[0][0]
         partition = Partition(n=8, boundaries=(3, 5))
         record = dataclasses.replace(
             record, meta={**record.meta, "partition": partition}
@@ -84,7 +85,7 @@ class TestMetaCodec:
     def test_publisher_partition_meta_is_journal_safe(self, make_spec):
         """Regression: structure publishers put a Partition into meta;
         journaling such a record used to crash json.dumps."""
-        record = run_matrix(make_spec(seeds=(0,), factory=NoiseFirst))[0]
+        record = supervise([make_spec(seeds=(0,), factory=NoiseFirst)])[0][0]
         assert "partition" in record.meta
         clone = self._clone(record)
         assert clone.meta["partition"] == record.meta["partition"]
@@ -96,7 +97,7 @@ class TestMetaCodec:
             def __repr__(self):
                 return "Exotic()"
 
-        record = run_matrix(make_spec(seeds=(0,)))[0]
+        record = supervise([make_spec(seeds=(0,))])[0][0]
         record = dataclasses.replace(
             record, meta={**record.meta, "exotic": Exotic()}
         )
@@ -108,7 +109,7 @@ class TestMetaCodec:
     def test_trace_tree_meta_round_trips(self, make_spec):
         import dataclasses
 
-        record = run_matrix(make_spec(seeds=(0,)))[0]
+        record = supervise([make_spec(seeds=(0,))])[0][0]
         tree = {"name": "trial", "seconds": 0.5,
                 "children": [{"name": "publish", "seconds": 0.4}]}
         record = dataclasses.replace(
@@ -152,7 +153,7 @@ class TestFingerprint:
 class TestJournalFile:
     def test_append_and_completed(self, tmp_path, make_spec):
         spec = make_spec(seeds=(0, 1))
-        records = run_matrix(spec)
+        records = supervise([spec])[0]
         journal = CheckpointJournal(tmp_path / "j.jsonl")
         fp = spec_fingerprint(spec)
         for record in records:
@@ -167,8 +168,8 @@ class TestJournalFile:
         spec_a = make_spec(seeds=(0,))
         spec_b = make_spec(seeds=(0,), epsilon=0.25)
         journal = CheckpointJournal(tmp_path / "j.jsonl")
-        journal.append(run_matrix(spec_a)[0], spec_fingerprint(spec_a))
-        journal.append(run_matrix(spec_b)[0], spec_fingerprint(spec_b))
+        journal.append(supervise([spec_a])[0][0], spec_fingerprint(spec_a))
+        journal.append(supervise([spec_b])[0][0], spec_fingerprint(spec_b))
         assert list(journal.seeds_done(spec_fingerprint(spec_a))) == [0]
         a = journal.seeds_done(spec_fingerprint(spec_a))[0]
         assert a.epsilon == 0.5
@@ -177,7 +178,7 @@ class TestJournalFile:
         spec = make_spec(seeds=(0, 1))
         journal = CheckpointJournal(tmp_path / "j.jsonl")
         fp = spec_fingerprint(spec)
-        for record in run_matrix(spec):
+        for record in supervise([spec])[0]:
             journal.append(record, fp)
         # Simulate SIGKILL mid-append: chop the final line in half.
         text = journal.path.read_text()
@@ -190,7 +191,7 @@ class TestJournalFile:
         """A tear at any offset keeps every entry the reader counted,
         and the record appended after the tear is found too."""
         spec = make_spec(seeds=(0, 1, 2))
-        records = run_matrix(spec)
+        records = supervise([spec])[0]
         fp = spec_fingerprint(spec)
         path = tmp_path / "j.jsonl"
         for record in records[:2]:
@@ -211,7 +212,7 @@ class TestJournalFile:
         spec = make_spec(seeds=(0,))
         journal = CheckpointJournal(tmp_path / "j.jsonl")
         fp = spec_fingerprint(spec)
-        record = run_matrix(spec)[0]
+        record = supervise([spec])[0][0]
         failed = FailedRecord(
             spec_name=record.spec_name, publisher=record.publisher,
             seed=0, epsilon=record.epsilon, error="TrialQuarantinedError",
@@ -224,7 +225,7 @@ class TestJournalFile:
         spec_a = make_spec(seeds=(0, 1))
         spec_b = make_spec(seeds=(0,), epsilon=0.25)
         fp_a, fp_b = spec_fingerprint(spec_a), spec_fingerprint(spec_b)
-        records = run_matrix(spec_a)
+        records = supervise([spec_a])[0]
         journal = CheckpointJournal(tmp_path / "j.jsonl")
         journal.append(FailedRecord(
             spec_name=records[0].spec_name, publisher=records[0].publisher,
@@ -232,7 +233,7 @@ class TestJournalFile:
         ), fp_a)
         journal.append(records[1], fp_a)
         journal.append(records[0], fp_a)
-        journal.append(run_matrix(spec_b)[0], fp_b)
+        journal.append(supervise([spec_b])[0][0], fp_b)
         latest = journal.latest()
         assert [(e["fingerprint"], e["key"]["seed"], e["payload"]["kind"])
                 for e in latest] == [
@@ -243,7 +244,7 @@ class TestJournalFile:
     def test_entries_follow_every_change_to_the_file(self, tmp_path,
                                                      make_spec):
         spec = make_spec(seeds=(0, 1, 2))
-        records = run_matrix(spec)
+        records = supervise([spec])[0]
         fp = spec_fingerprint(spec)
         journal = CheckpointJournal(tmp_path / "j.jsonl")
         journal.append(records[0], fp)

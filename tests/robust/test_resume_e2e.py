@@ -22,7 +22,8 @@ import time
 
 import pytest
 
-from repro.experiments.runner import records_equal, run_matrix
+from repro.experiments.runner import records_equal
+from repro.robust.executor import supervise
 from repro.robust.faults import ENV_VAR, write_plan
 from repro.robust.journal import CheckpointJournal, spec_fingerprint
 from repro.robust.sweep import build_sweep_specs
@@ -146,7 +147,7 @@ def test_sigkill_mid_sweep_then_resume_is_bit_identical(tmp_path):
     # The journal now covers the full sweep, bit-identical to a serial
     # run that was never interrupted.
     (spec,) = build_sweep_specs(**SWEEP_ARGS)
-    serial = run_matrix(spec, n_jobs=1)
+    serial = supervise([spec], n_jobs=1)[0]
     journal = CheckpointJournal(journal_path)
     done = journal.seeds_done(spec_fingerprint(spec))
     assert sorted(done) == list(spec.seeds)

@@ -81,6 +81,7 @@ class TestRunSweepAndTable:
         self, fault_env, no_sleep
     ):
         specs = build_sweep_specs(**QUICK)
+        clean = run_sweep(specs, n_jobs=1)[specs[0].name][0]  # seed 0
         fault_env([{"action": "raise", "seed": 1}])
         results = run_sweep(specs, n_jobs=1, retries=0, sleep=no_sleep)
         table, failures = sweep_table(results)
@@ -88,7 +89,9 @@ class TestRunSweepAndTable:
         assert isinstance(failures[0], FailedRecord)
         (row,) = table.rows
         assert row[1] == 1 and row[2] == 1  # one ok, one quarantined
-        assert row[3] != "n/a"  # metrics from the surviving seed
+        # The means are those of the surviving seed alone.
+        assert row[3] == f"{clean.kl:.4g}"
+        assert row[4] == f"{clean.metric('unit', 'mse'):.4g}"
 
     def test_all_failed_cell_renders_na(self, fault_env, no_sleep):
         specs = build_sweep_specs(**QUICK)
